@@ -26,7 +26,6 @@ from .fit import DEFAULT_S_GRID, FitSpec, fit_mle, profile_s_grid
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
 from .sampling import sample_batch
 from .transform import GbsParams
-from .validate import format_report, run_validation
 
 __all__ = ["main"]
 
@@ -99,19 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as bad:
-            raise UsageError(f"cannot read config {args.config}: {bad}")
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
-    return args
+def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Fill flags not given on the command line from the --config file, parsing
+    each value as its flag would be parsed (a bad value exits 2 with usage)."""
+    if not getattr(args, "config", None):
+        return args
+    try:
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as bad:
+        raise UsageError(f"cannot read config {args.config}: {bad}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    extra = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()
+             if value is not None and getattr(args, key.replace("-", "_"), False) is None]
+    return parser.parse_args([args.command, *extra, *argv[1:]])
 
 
 def _require(args, *names):
@@ -176,7 +177,7 @@ def _cmd_density(args) -> int:
                        beta=_parse_triangle(args.beta, m, "beta"))
     kernel = _kernel(args, args.n, m)
     conv = _convention(args)
-    values = [logpdf_T(T, params, kernel, conv) for T in batch.matrices]
+    values = logpdf_T(batch.matrices, params, kernel, conv).tolist()
     text = "".join(f"{v:.17g}\n" for v in values)
     _emit(args, text, {"logpdf": values, "convention": conv.value})
     return 0
@@ -235,6 +236,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import format_report, run_validation
+
     checks = run_validation(seed=args.seed if args.seed is not None else 0)
     report = format_report(checks)
     _emit(args, report, [{"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -246,11 +249,12 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {"density": _cmd_density, "sample": _cmd_sample, "fit": _cmd_fit,
                 "compare": _cmd_compare, "validate": _cmd_validate}
     try:
-        args = _merge_config(args)
+        args = _merge_config(parser, argv, args)
         return handlers[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, DomainError, NotSpdError, NotSymmetricError
 from .fit import FitResult, ProfileResult
 from .kernels import kernel_from_json, kernel_to_json
+from .linalg import check_spd
 from .sampling import SampleBatch
 from .transform import GbsParams
 
@@ -35,15 +36,6 @@ def _infer_m(n_cols: int) -> int:
         raise DataFormatError(
             f"{n_cols} columns is not an upper-triangle count m(m+1)/2")
     return m
-
-
-def _check_rows_spd(mats: np.ndarray):
-    for k, T in enumerate(mats):
-        w = np.linalg.eigvalsh(0.5 * (T + T.T))
-        if w.min() <= 0.0:
-            raise DataFormatError(
-                f"row {k + 1}: matrix is not positive definite"
-                f" (smallest eigenvalue {w.min():g})")
 
 
 def _batch_to_csv(batch: SampleBatch) -> str:
@@ -77,7 +69,6 @@ def _batch_from_csv(text: str) -> SampleBatch:
         for (i, j), v in zip(pairs, vals):
             mats[k, i, j] = v
             mats[k, j, i] = v
-    _check_rows_spd(mats)
     return SampleBatch(m=m, count=mats.shape[0], matrices=mats)
 
 
@@ -117,7 +108,6 @@ def _batch_from_json(text: str) -> SampleBatch:
     mats = np.asarray(obj["matrices"], dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DataFormatError(f"matrices must be a K x m x m array, got {mats.shape}")
-    _check_rows_spd(mats)
     batch = SampleBatch(m=mats.shape[1], count=mats.shape[0], matrices=mats)
     prov = obj.get("provenance")
     if prov:
@@ -141,12 +131,22 @@ def write_batch(path, batch: SampleBatch) -> None:
 
 
 def read_batch(path) -> SampleBatch:
-    """Read a batch file, auto-detecting the format from the extension."""
+    """Read a batch file, auto-detecting the format from the extension.
+
+    A matrix that is not finite, symmetric and positive definite is an
+    error naming its row.
+    """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        return _batch_from_json(text)
-    return _batch_from_csv(text)
+    json_file = path.suffix.lower() == ".json"
+    batch = _batch_from_json(text) if json_file else _batch_from_csv(text)
+    try:
+        check_spd(batch.matrices, "matrix")
+    except (DomainError, NotSpdError, NotSymmetricError) as bad:
+        what = {NotSpdError: "positive definite", NotSymmetricError: "symmetric"}
+        raise DataFormatError(f"row {bad.row + 1}: matrix is not"
+                              f" {what.get(type(bad), 'finite')}")
+    return batch
 
 
 N_P_NOTE = ("n_p counts beta plus the upper triangle of the shape matrix"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateEigenvaluesError,
     DomainError,
     NotSpdError,
     OutsideSupportError,
@@ -34,14 +33,14 @@ from .kernels import KernelSpec, log_h
 from .linalg import as_matrix, check_spd, log_mv_gamma, sym_part
 from .transform import (
     GbsParams,
-    TIE_TOL,
     branch_eigs,
     jacobian_det_form,
     log_abs_gfactor,
+    log_jacobian_sv,
 )
 
 __all__ = ["Convention", "ElementwiseParams", "gfactor_sign", "logpdf_T",
-           "logpdf_T_congruence", "logpdf_T_inverse", "logpdf_V",
+           "log_t_density", "logpdf_T_congruence", "logpdf_T_inverse", "logpdf_V",
            "logpdf_elementwise", "logpdf_sqrt_gbs", "logpdf_uni_gbs",
            "trace_argument"]
 
@@ -128,41 +127,61 @@ def trace_argument(W: np.ndarray, xi: np.ndarray) -> float:
     w, P = np.linalg.eigh(W)
     if w.min() <= 0.0:
         raise NotSpdError(f"trace argument needs SPD input, min eigenvalue {w.min():g}")
-    return _trace_argument_spectral(w, P, xi)
+    return float(_trace_argument_spectral(w, P, xi))
 
 
-def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> float:
-    inner = sym_part((P * (w + 1.0 / w - 2.0)) @ P.T)
+def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """trace_argument from eigenvalues w (..., m) and eigenvectors P (..., m, m)."""
+    inner = (P * (w + 1.0 / w - 2.0)[..., None, :]) @ np.swapaxes(P, -1, -2)
     M = np.linalg.inv(xi @ xi)
-    return max(float(np.sum(M * inner)), 0.0)
+    return np.maximum(np.einsum("ij,...ij->...", M, inner), 0.0)
 
 
 def _whitened_spectrum(Y: np.ndarray, A: np.ndarray):
-    """Eigen-system of A^{-T} Y A^{-1} for SPD Y, computed stably.
+    """Eigen-system of A^{-T} Y A^{-1} for SPD Y (m x m or a (K, m, m) stack).
 
-    Factors Y = L L' and takes the SVD of L' A^{-1}, so the conditioning of
-    A enters only linearly.  Returns (eigenvalues descending, eigenvectors).
+    Factors Y = L L' and takes the singular values of L' A^{-1}, so the
+    conditioning of A enters only linearly.  Returns (eigenvalues
+    descending, eigenvectors as columns).
     """
     L = np.linalg.cholesky(Y)
-    G = np.linalg.solve(A.T, L).T        # G = L' A^{-1}, W = G' G
-    _, s, Vt = np.linalg.svd(G, full_matrices=False)
-    return s * s, Vt.T
+    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)   # W = G' G
+    _, s, Vt = np.linalg.svd(G)
+    return s * s, np.swapaxes(Vt, -1, -2)
 
 
-def _tie_check(values: np.ndarray):
-    if values.size > 1:
-        gaps = values[:-1] - values[1:]
-        if gaps.min() < TIE_TOL * max(abs(values[0]), 1.0):
-            raise DegenerateEigenvaluesError(
-                f"tied eigenvalues at relative tolerance {TIE_TOL:g}")
+def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: float,
+                  kernel: KernelSpec, convention: Convention,
+                  exponent: float | None = None, total: bool = False):
+    """The log T-density from its spectral ingredients, for one matrix or a batch.
 
+    deltas, (m,) or (K, m), are the eigenvalues of beta^{-1} T, u the trace
+    argument and logdet_T log|T|, one per matrix; the value per matrix is
 
-def _t_const(params: GbsParams, kernel: KernelSpec) -> float:
-    n, m = params.n, params.m
-    _, logdet_beta = np.linalg.slogdet(params.beta)
-    _, logdet_xi = np.linalg.slogdet(params.xi)
-    return (0.5 * n * m * math.log(math.pi) - m * math.log(2.0)
-            - log_mv_gamma(m, n / 2) - 0.5 * n * logdet_beta - n * logdet_xi)
+        log c(n, beta, Xi) + log|G(deltas)| + exponent log|T| + log h(u)
+
+    with exponent (n - m - 1)/2 by default.  Every T-density law of the
+    package is evaluated here.  A zero of the product factor gives -inf.
+    total=True returns the sum over the batch without forming per-matrix
+    values; logdet_T is then the batch total.
+    """
+    m = np.shape(deltas)[-1]
+    if exponent is None:
+        exponent = (n - m - 1) / 2
+    const = (0.5 * n * m * math.log(math.pi) - log_mv_gamma(m, n / 2)
+             - 0.5 * n * logdet_beta - n * logdet_xi)
+    if convention is Convention.AS_PUBLISHED:
+        const -= m * math.log(2.0)
+    log_g, _ = log_abs_gfactor(deltas, n, m, total=total)
+    if total:
+        if log_g == -math.inf:
+            return -math.inf
+        return float(np.size(u) * const + log_g + exponent * logdet_T
+                     + log_h(kernel, u, total=True))
+    # at a zero of G the density vanishes whatever the kernel gives there
+    zero = log_g == -math.inf
+    value = const + log_g + exponent * logdet_T + log_h(kernel, np.where(zero, 1.0, u))
+    return np.where(zero, -np.inf, value)
 
 
 def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
@@ -175,17 +194,10 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     """
     V = as_matrix(V, "V")
     _check_kernel_dims(kernel, params.n, params.m)
-    n, m = params.n, params.m
-    g2 = branch_eigs(V, params)
-    if convention is Convention.BRANCH_NORMALIZED and g2[-1] <= 1.0:
-        raise OutsideSupportError(
-            f"smallest eigenvalue of beta^{{-1}}V'V is {g2[-1]:g}, not above 1")
+    _check_branch_support(branch_eigs(V, params), convention, "V")
 
     if jacobian == "sv":
-        log_g, _ = log_abs_gfactor(g2, n, m, form="first")
-        _, logdet_xi = np.linalg.slogdet(params.xi)
-        _, logdet_beta = np.linalg.slogdet(params.beta)
-        log_j = -n * logdet_xi - 0.5 * n * logdet_beta + log_g
+        log_j, _ = log_jacobian_sv(V, params, "first", check=False)
     elif jacobian == "det":
         det_val = abs(jacobian_det_form(V, params))
         log_j = math.log(det_val) if det_val > 0.0 else -math.inf
@@ -196,66 +208,56 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     u = trace_argument(dinv @ (V.T @ V) @ dinv, params.xi)
     value = log_j + log_h(kernel, u)
     if convention is Convention.BRANCH_NORMALIZED:
-        value += m * math.log(2.0)
+        value += params.m * math.log(2.0)
     return float(value)
 
 
-def _logpdf_T_core(delta_eigs: np.ndarray, u: float, logdet_T: float,
-                   params: GbsParams, kernel: KernelSpec,
-                   convention: Convention, logdet_extra: float = 0.0,
-                   t_exponent: float | None = None, tie_check: bool = False) -> float:
-    n, m = params.n, params.m
-    if convention is Convention.BRANCH_NORMALIZED and delta_eigs[-1] <= 1.0:
-        raise OutsideSupportError(
-            f"smallest scaled eigenvalue {delta_eigs[-1]:g} not above 1")
-    log_g, _ = log_abs_gfactor(delta_eigs, n, m, form="first")
-    if math.isinf(log_g):
-        # zero of the product factor: density vanishes on this boundary set
-        return -math.inf
-    if tie_check:
-        _tie_check(delta_eigs)
-    exponent = (n - m - 1) / 2 if t_exponent is None else t_exponent
-    value = (_t_const(params, kernel) + log_g + exponent * logdet_T
-             + logdet_extra + log_h(kernel, u))
-    if convention is Convention.BRANCH_NORMALIZED:
-        value += m * math.log(2.0)
-    return float(value)
+def _check_branch_support(deltas: np.ndarray, convention: Convention, name: str):
+    """Under the branch convention every scaled eigenvalue (descending along
+    the last axis) must exceed 1; for a stack the error names name[k]."""
+    outside = deltas[..., -1] <= 1.0
+    if convention is Convention.BRANCH_NORMALIZED and outside.any():
+        k = int(np.argmax(outside)) if outside.ndim else None
+        label = name if k is None else f"{name}[{k}]"
+        raise OutsideSupportError(f"{label}: smallest scaled eigenvalue"
+                                  f" {deltas[..., -1].min():g} not above 1", row=k)
+
+
+def _slogdet(A: np.ndarray) -> float:
+    return float(np.linalg.slogdet(A)[1])
+
+
+def _logpdf_scaled(Y, A: np.ndarray, logdet_scale: float, params: GbsParams,
+                   kernel: KernelSpec, convention: Convention, name: str):
+    """Log T-density of SPD Y (one matrix or a stack) under the scale A'A,
+    with logdet_scale = log|A'A|; A = Delta gives the law of T itself."""
+    deltas, vecs = _whitened_spectrum(Y, A)
+    if (deltas[..., -1] <= 0.0).any():
+        raise NotSpdError(f"{name} is numerically singular after whitening")
+    _check_branch_support(deltas, convention, name)
+    u = _trace_argument_spectral(deltas, vecs, params.xi)
+    return log_t_density(deltas, u, np.log(deltas).sum(axis=-1) + logdet_scale, params.n,
+                         logdet_scale, _slogdet(params.xi), kernel, convention)
 
 
 def logpdf_T(T, params: GbsParams, kernel: KernelSpec,
-             convention: Convention = Convention.BRANCH_NORMALIZED,
-             path: str = "auto") -> float:
+             convention: Convention = Convention.BRANCH_NORMALIZED):
     """Log density of the SPD matrix T = V'V.
 
-    path: 'auto' picks the scalar-scale shortcut when beta is a multiple of
-    the identity, 'general' forces the congruence route, 'scalar' forces
-    the shortcut (requires scalar beta).
+    T is one m x m matrix, giving a float, or a (K, m, m) stack, giving an
+    array of K values, one per matrix.  Every scale beta takes the same
+    route: the eigenvalues of beta^{-1} T are the squared singular values of
+    L' Delta^{-1}, with T = L L'.  Under the branch convention a matrix
+    outside the branch region raises OutsideSupportError; for a stack the
+    error names the matrix as T[k] and carries k as ``row``.
     """
     T = check_spd(T, "T")
     _check_kernel_dims(kernel, params.n, params.m)
-    if T.shape[0] != params.m:
-        raise DomainError(f"T is {T.shape[0]}x{T.shape[0]}, expected m={params.m}")
-
-    b = params.scalar_beta()
-    if path == "auto":
-        path = "scalar" if b is not None else "general"
-    if path == "scalar":
-        if b is None:
-            raise DomainError("scalar path requires beta proportional to the identity")
-        lam, P = np.linalg.eigh(T)
-        deltas = (lam / b)[::-1].copy()
-        logdet_T = float(np.sum(np.log(lam)))
-        inner = sym_part((P * (lam / b + b / lam - 2.0)) @ P.T)
-        M = np.linalg.inv(params.xi @ params.xi)
-        u = max(float(np.sum(M * inner)), 0.0)
-    elif path == "general":
-        deltas, vecs = _whitened_spectrum(T, params.delta)
-        u = _trace_argument_spectral(deltas, vecs, params.xi)
-        _, logdet_T = np.linalg.slogdet(T)
-    else:
-        raise DomainError(f"path must be 'auto', 'scalar' or 'general', got {path!r}")
-    return _logpdf_T_core(deltas, u, float(logdet_T), params, kernel, convention,
-                          tie_check=True)
+    if T.shape[-1] != params.m:
+        raise DomainError(f"T is {T.shape[-1]}x{T.shape[-1]}, expected m={params.m}")
+    value = _logpdf_scaled(T, params.delta, _slogdet(params.beta), params, kernel,
+                           convention, "T")
+    return float(value) if T.ndim == 2 else value
 
 
 def gfactor_sign(T, params: GbsParams) -> int:
@@ -283,15 +285,16 @@ def logpdf_T_inverse(S, params: GbsParams, kernel: KernelSpec,
     n, m = params.n, params.m
     if S.shape[0] != m:
         raise DomainError(f"S is {S.shape[0]}x{S.shape[0]}, expected m={m}")
-    Ws = sym_part(params.delta @ S @ params.delta)
-    w = np.linalg.eigvalsh(Ws)
-    if w.min() <= 0.0:
+    w, vecs = _whitened_spectrum(S, np.linalg.inv(params.delta))  # of Delta S Delta
+    if w[-1] <= 0.0:
         raise NotSpdError("delta S delta is numerically singular")
-    rhos = np.sort(1.0 / w)[::-1].copy()
-    u = trace_argument(Ws, params.xi)
-    _, logdet_S = np.linalg.slogdet(S)
-    return _logpdf_T_core(rhos, u, float(logdet_S), params, kernel, convention,
-                          t_exponent=-(n + m + 1) / 2)
+    rhos = 1.0 / w[::-1]
+    _check_branch_support(rhos, convention, "S")
+    # u is invariant under W -> W^{-1}, so the spectrum of Delta S Delta serves
+    u = _trace_argument_spectral(w, vecs, params.xi)
+    return float(log_t_density(rhos, u, _slogdet(S), n, _slogdet(params.beta),
+                               _slogdet(params.xi), kernel, convention,
+                               exponent=-(n + m + 1) / 2))
 
 
 def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,
@@ -303,17 +306,12 @@ def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,
     Y = check_spd(Y, "Y")
     C = as_matrix(C, "C")
     _check_kernel_dims(kernel, params.n, params.m)
-    n, m = params.n, params.m
+    m = params.m
     if Y.shape[0] != m or C.shape != (m, m):
         raise DomainError(f"Y and C must be {m}x{m}")
     sign_c, logdet_C = np.linalg.slogdet(C)
     if sign_c == 0:
         raise SingularMatrixError("C is singular")
-    A = params.delta @ C
-    thetas, vecs = _whitened_spectrum(Y, A)
-    if thetas[-1] <= 0.0:
-        raise NotSpdError("congruence-transformed Y is numerically singular")
-    u = _trace_argument_spectral(thetas, vecs, params.xi)
-    _, logdet_Y = np.linalg.slogdet(Y)
-    return _logpdf_T_core(thetas, u, float(logdet_Y), params, kernel, convention,
-                          logdet_extra=-n * float(logdet_C))
+    # Y has the T-law with scale C' beta C: log|C' beta C| = log|beta| + 2 log|det C|
+    return float(_logpdf_scaled(Y, params.delta @ C, _slogdet(params.beta) + 2.0 * logdet_C,
+                                params, kernel, convention, "Y"))

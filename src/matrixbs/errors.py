@@ -2,7 +2,11 @@
 
 
 class MatrixBsError(Exception):
-    """Base class for all matrixbs errors."""
+    """Base class for all matrixbs errors; ``row`` indexes the failing matrix of a stack."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class RankDeficientError(MatrixBsError):

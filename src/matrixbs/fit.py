@@ -2,10 +2,10 @@
 
 The model has a scalar scale beta (beta I_m), an SPD shape matrix Xi, and
 for the Kotz family a fixed power s with free (r, q).  The log-likelihood
-is the term-by-term expansion of the scalar-scale density in terms of the
-per-observation eigenvalues; it is maximised with a derivative-free
-simplex search in an unconstrained reparameterisation, from a moment-style
-starting point plus jittered restarts.
+is the T-density of density.log_t_density summed over the batch, from
+per-observation eigenvalues cached once per dataset; it is maximised with
+a derivative-free simplex search in an unconstrained reparameterisation,
+from a moment-style starting point plus jittered restarts.
 
 Model comparison uses the modified criterion
 
@@ -25,13 +25,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, logit
 
-from .density import Convention
+from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
-from .linalg import check_spd, log_mv_gamma, sym_part
+from .linalg import check_spd, sym_part
 from .sampling import SampleBatch
 
 __all__ = ["EvidenceGrade", "FitResult", "FitSpec", "InitialGuess", "ProfileRow",
@@ -61,76 +60,42 @@ class _Prepared:
     """Per-dataset quantities that do not depend on the parameters."""
 
     def __init__(self, mats: np.ndarray):
-        K, m, _ = mats.shape
-        self.K, self.m = K, m
-        self.T = np.array([check_spd(mats[k], f"T[{k}]") for k in range(K)])
-        lam = np.linalg.eigvalsh(self.T)
-        self.lam = lam  # (K, m), ascending
+        T = check_spd(mats, "T")
+        self.K, self.m = T.shape[:2]
+        lam = np.linalg.eigvalsh(T)
+        # (K, m) view of an (m, K) array: the layout log_abs_gfactor works in
+        self.lam = np.ascontiguousarray(lam.T).T
         self.sum_log_lam = float(np.sum(np.log(lam)))
         self.min_lam = float(lam.min())
-        self.Tinv = np.linalg.inv(self.T)
-        iu = np.triu_indices(m, k=1)
-        # (K, npairs) products of eigenvalue pairs i < j
-        self.pair_prod = (lam[:, :, None] * lam[:, None, :])[:, iu[0], iu[1]]
-
-    def traces(self, beta: float, xi: np.ndarray) -> np.ndarray:
-        M = np.linalg.inv(xi @ xi)
-        tT = np.einsum("ij,kij->k", M, self.T)
-        tI = np.einsum("ij,kij->k", M, self.Tinv)
-        return np.maximum(tT / beta + beta * tI - 2.0 * np.trace(M), 0.0)
-
-
-def _kotz_triplet(kernel: KernelSpec):
-    if kernel.family == GAUSSIAN:
-        return 1.0, 0.5, 1.0
-    return kernel.q, kernel.r, kernel.s
+        # T and T^{-1} as (2, K, m*m): both traces are one matrix-vector product
+        self.flat = np.stack([T, np.linalg.inv(T)]).reshape(2, self.K, -1)
 
 
 def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
-                     kernel: KernelSpec) -> float:
-    K, m = prep.K, prep.m
-    if beta <= 0.0:
+                     kernel: KernelSpec,
+                     convention: Convention = Convention.AS_PUBLISHED) -> float:
+    # for n > m an eigenvalue at or below beta leaves log(1 - beta/lambda)
+    # undefined: the observation is outside the branch support
+    if beta <= 0.0 or (n > prep.m and beta >= prep.min_lam):
         return -math.inf
-    ratio = beta / prep.lam
-    q, r, s = _kotz_triplet(kernel)
-    a = (2.0 * q + n * m - 2.0) / (2.0 * s)
-
-    value = K * (math.log(s) + a * math.log(r) + gammaln(n * m / 2) - gammaln(a))
-    if n > m:
-        # an eigenvalue at or below beta leaves log(1 - beta/lambda) undefined
-        one_minus = 1.0 - ratio
-        if one_minus.min() <= 0.0:
-            return -math.inf
-        value += (n - m) * float(np.sum(np.log(one_minus)))
-    value += float(np.sum(np.log1p(ratio)))
-    if m > 1:
-        pair = 1.0 - beta * beta / prep.pair_prod
-        if pair.min() <= 0.0:
-            return -math.inf
-        value += float(np.sum(np.log(pair)))
-    sign_xi, logdet_xi = np.linalg.slogdet(xi)
-    if sign_xi <= 0:
+    w, P = np.linalg.eigh(xi)
+    if w[0] <= 0.0:
         return -math.inf
-    value += (-K * m * math.log(2.0) - K * log_mv_gamma(m, n / 2)
-              - K * n * m / 2 * math.log(beta) - K * n * logdet_xi
-              + (n - m - 1) / 2 * prep.sum_log_lam)
-    u = prep.traces(beta, xi)
-    if q != 1.0:
-        if u.min() <= 0.0:
-            return -math.inf if q > 1.0 else math.inf
-        value += (q - 1.0) * float(np.sum(np.log(u)))
-    value -= r * float(np.sum(u**s))
-    return value
+    inv_w2 = 1.0 / (w * w)
+    tT, tI = prep.flat @ ((P * inv_w2) @ P.T).ravel()  # traces against Xi^{-2}
+    u = np.maximum(tT / beta + beta * tI - 2.0 * inv_w2.sum(), 0.0)
+    return log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
+                         float(np.log(w).sum()), kernel, convention, total=True)
 
 
 def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
            convention: Convention = Convention.AS_PUBLISHED) -> float:
-    """Sample log-likelihood of the scalar-scale model, expanded term by term.
+    """Sample log-likelihood of the scalar-scale model.
 
-    Matches the sum of logpdf_T over the batch (as-published convention); the
-    branch convention only adds the constant K m ln 2.  Observations with
-    an eigenvalue at or below beta are outside the branch support and pull
-    the value to -inf.
+    Sums the T-density of density.log_t_density over the batch from the
+    cached eigenvalues of the data, so it equals the sum of logpdf_T.  For
+    degrees n > m, observations with an eigenvalue at or below beta are
+    outside the branch support and pull the value to -inf.
     """
     mats = _as_stack(data)
     prep = _Prepared(mats)
@@ -140,10 +105,7 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     if (kernel.n, kernel.m) != (n, prep.m):
         raise DomainError(
             f"kernel dims ({kernel.n}, {kernel.m}) do not match (n={n}, m={prep.m})")
-    value = _loglik_prepared(prep, n, float(beta), xi, kernel)
-    if convention is Convention.BRANCH_NORMALIZED:
-        value += prep.K * prep.m * math.log(2.0)
-    return value
+    return _loglik_prepared(prep, n, float(beta), xi, kernel, convention)
 
 
 def outside_support(data, beta: float) -> list[int]:
@@ -340,6 +302,8 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     seeded jittered copies) and returns the best local optimum.  A fit that
     exhausts the iteration budget is returned flagged, not raised.
     """
+    from scipy.optimize import minimize
+
     mats = _as_stack(data)
     prep = _Prepared(mats)
     K, m = prep.K, prep.m
@@ -383,9 +347,7 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
             best = res
     beta, xi, r, q = packer.unpack(best.x)
     value = _loglik_prepared(prep, n, beta, xi,
-                             _kernel_for(spec.family, n, m, spec.s, r, q))
-    if spec.convention is Convention.BRANCH_NORMALIZED:
-        value += K * m * math.log(2.0)
+                             _kernel_for(spec.family, n, m, spec.s, r, q), spec.convention)
     n_p = 1 + m * (m + 1) // 2 + (2 if kotz else 0)
     return FitResult(
         family=spec.family, s=spec.s if kotz else None,

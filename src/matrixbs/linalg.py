@@ -7,6 +7,7 @@ downstream branch inversions and golden tests are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +57,44 @@ def sym_part(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _check_symmetric(S, name: str, tol: float = SYM_TOL) -> np.ndarray:
-    S = as_matrix(S, name)
-    if S.shape[0] != S.shape[1]:
-        raise NotSymmetricError(f"{name} must be square, got shape {S.shape}")
-    scale = max(np.abs(S).max(), 1.0)
-    if np.abs(S - S.T).max() > tol * scale:
-        raise NotSymmetricError(f"{name} is not symmetric within {tol:g} relative")
-    return sym_part(S)
+def _check_symmetric(S, name: str, tol: float = SYM_TOL, spd: bool = False) -> np.ndarray:
+    """Symmetrised copy of a symmetric (with spd, positive definite) matrix or
+    (K, m, m) stack; an error about matrix k of a stack names it name[k]."""
+    S = np.asarray(S, dtype=float)
+    stack = S.ndim == 3
+    if not stack:
+        S = as_matrix(S, name)[None]
+
+    def fail(error, bad: np.ndarray, detail: str):
+        k = int(np.argmax(bad))
+        raise error(f"{name}[{k}] {detail}" if stack else f"{name} {detail}",
+                    row=k if stack else None)
+
+    if S.shape[1] != S.shape[2]:
+        raise NotSymmetricError(f"{name} must be square, got shape {S.shape[1:]}")
+    finite = np.isfinite(S).all(axis=(1, 2))
+    if not finite.all():
+        fail(DomainError, ~finite, "contains non-finite entries")
+    St = np.swapaxes(S, 1, 2)
+    scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+    asym = np.abs(S - St).max(axis=(1, 2)) > tol * scale
+    if asym.any():
+        fail(NotSymmetricError, asym, f"is not symmetric within {tol:g} relative")
+    S = 0.5 * (S + St)
+    if spd:
+        w_min = np.linalg.eigvalsh(S)[:, 0]
+        if (w_min <= 0.0).any():
+            fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
+    return S if stack else S[0]
 
 
 def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
-    """Validate a symmetric positive definite matrix; returns its symmetrised copy."""
-    S = _check_symmetric(S, name, tol)
-    w = np.linalg.eigvalsh(S)
-    if w.min() <= 0.0:
-        raise NotSpdError(f"{name} has non-positive eigenvalue {w.min():g}")
-    return S
+    """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
+
+    For a stack, the error names the first failing matrix as name[k] and
+    carries its index as ``row``.
+    """
+    return _check_symmetric(S, name, tol, spd=True)
 
 
 @dataclass(frozen=True)
@@ -168,6 +190,7 @@ def vec(A) -> np.ndarray:
     return np.asarray(A, dtype=float).flatten(order="F")
 
 
+@functools.lru_cache(maxsize=None)
 def log_mv_gamma(m: int, a: float) -> float:
     """log of the multivariate gamma: (m(m-1)/4) ln pi + sum_i ln Gamma(a - (i-1)/2)."""
     if m < 1:

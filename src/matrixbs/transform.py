@@ -87,13 +87,6 @@ class GbsParams:
     def m(self) -> int:
         return self.xi.shape[0]
 
-    def scalar_beta(self, rtol: float = 1e-12) -> float | None:
-        """beta as a scalar when beta = b * I within tolerance, else None."""
-        b = self.beta[0, 0]
-        if np.abs(self.beta - b * np.eye(self.m)).max() <= rtol * max(abs(b), 1.0):
-            return float(b)
-        return None
-
 
 @dataclass(frozen=True)
 class JacobianReport:
@@ -162,40 +155,48 @@ def branch_eigs(V, params: GbsParams) -> np.ndarray:
     return g2
 
 
-def log_abs_gfactor(deltas: np.ndarray, n: int, m: int, form: str = "first",
-                    boundary_tol: float = BOUNDARY_TOL):
+@np.errstate(divide="ignore")
+def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
+                    boundary_tol: float = BOUNDARY_TOL, total: bool = False):
     """log|G| and sign of the product-form Jacobian factor at eigenvalues deltas.
 
     first:   prod (1 - 1/d_i)^(n-m) (1 + 1/d_i) prod_{i<j} (1 - 1/(d_i d_j))
     second:  prod d_i^(-n) (d_i - 1)^(n-m) (1 + d_i) prod_{i<j} (d_i d_j - 1)
 
-    Returns (log_abs, sign); sign = 0 with log_abs = -inf on the zero set,
-    which includes anything within boundary_tol of d_i = 1 or d_i d_j = 1.
+    deltas is one set of m eigenvalues or a (K, m) batch, giving one value
+    per set; total=True instead sums log|G| over the batch and returns no
+    sign (None).  Returns (log_abs, sign); sign = 0 with
+    log_abs = -inf on the zero set, anything within boundary_tol of
+    d_i = 1 (for n > m) or d_i d_j = 1.
     """
-    d = np.asarray(deltas, dtype=float)
-    factors = []
+    d = np.asarray(deltas, dtype=float).T  # one row per eigenvalue
     if form == "first":
-        if n > m:
-            factors.extend((1.0 - 1.0 / di) for di in d for _ in range(n - m))
-        factors.extend((1.0 + 1.0 / di) for di in d)
-        factors.extend(1.0 - 1.0 / (d[i] * d[j])
-                       for i in range(m) for j in range(i + 1, m))
+        x = np.divide(1.0, d, order="C")
     elif form == "second":
-        factors.extend(di ** (-float(n)) for di in d)
-        if n > m:
-            factors.extend((di - 1.0) for di in d for _ in range(n - m))
-        factors.extend((1.0 + di) for di in d)
-        factors.extend(d[i] * d[j] - 1.0 for i in range(m) for j in range(i + 1, m))
+        x = np.array(d, order="C")
     else:
         raise DomainError(f"form must be 'first' or 'second', got {form!r}")
-
-    log_abs, sign = 0.0, 1
-    for f in factors:
-        if abs(f) < boundary_tol:
-            return -math.inf, 0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
+    # One factor per pair i <= j, F_ij = 1 - x_i x_j in the first form (x = 1/d),
+    # so that 1 - x_i = F_ii / (1 + x_i); the diagonal counts only for n > m,
+    # where the factor (1 - x_i)^(n-m) is present.
+    pairs = [(i, j) for i in range(m) for j in range(i if n > m else i + 1, m)]
+    weights = np.array([n - m if i == j else 1 for i, j in pairs], dtype=float)
+    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    F = x[rows[:, 0]] * x[rows[:, 1]]
+    F = 1.0 - F if form == "first" else F - 1.0
+    a = np.abs(F)
+    zero = a.min(axis=None if total else 0, initial=np.inf) < boundary_tol
+    if total and zero:
+        return -math.inf, None
+    log_abs = weights @ np.log(a) + (1 - max(n - m, 0)) * np.log1p(x).sum(axis=0)
+    if form == "second":
+        log_abs -= n * np.log(x).sum(axis=0)
+    if total:
+        return float(log_abs.sum()), None
+    log_abs = np.where(zero, -np.inf, log_abs)
+    sign = np.where(zero, 0, 1 - 2 * (weights @ (F < 0.0) % 2)).astype(int)
+    if log_abs.ndim == 0:
+        return float(log_abs), int(sign)
     return log_abs, sign
 
 
@@ -222,7 +223,9 @@ def jacobian_det_form(V, params: GbsParams) -> float:
     return float(math.exp(-n * logdet_xi + logdet_in))
 
 
-def _log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True):
+def log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True):
+    """log|Jacobian| of forward_map by the product form, and the factor's sign;
+    check rejects tied eigenvalues and the unit boundary."""
     n, m = params.n, params.m
     g2 = branch_eigs(V, params)
     if check:
@@ -242,7 +245,7 @@ def _log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True):
 
 def jacobian_sv_form(V, params: GbsParams, variant: str = "first") -> float:
     """|Jacobian| of forward_map via the singular-value product form."""
-    log_j, _ = _log_jacobian_sv(V, params, variant)
+    log_j, _ = log_jacobian_sv(V, params, variant)
     return float(math.exp(log_j))
 
 
@@ -266,7 +269,7 @@ def jacobian_fd_oracle(V, params: GbsParams, step: float = 1e-5) -> float:
 def jacobian_report(V, params: GbsParams, step: float | None = 1e-5) -> JacobianReport:
     """All Jacobian routes plus their worst pairwise relative disagreement."""
     det_val = abs(jacobian_det_form(V, params))
-    log_sv, sign = _log_jacobian_sv(V, params, "first")
+    log_sv, sign = log_jacobian_sv(V, params, "first")
     sv_val = float(math.exp(log_sv))
     values = [det_val, sv_val, jacobian_sv_form(V, params, "second")]
     fd_val = None

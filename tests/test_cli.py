@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +188,34 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "row 1" in err
 
+    def test_config_values_parsed_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "6", "count": 3}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert run("sample", "--config", str(cfg), "--m", "2", "--seed", "1",
+                   "--out", str(out)) == 0
+        assert read_batch(out).count == 3
+
+        cfg.write_text(json.dumps({"count": "abc"}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run("sample", "--config", str(cfg), "--n", "6", "--m", "2", "--seed", "1",
+                "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--count" in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")
         assert exc.value.code == 2
+
+
+def test_cli_import_skips_optimizer_and_validation():
+    code = ("import sys, matrixbs.cli; print(sorted(m for m in ('scipy.optimize',"
+            " 'scipy.integrate', 'matrixbs.validate') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

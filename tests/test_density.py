@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
+from scipy.special import gammaln, multigammaln
 
 from matrixbs.density import (
     Convention,
@@ -17,11 +19,12 @@ from matrixbs.density import (
     trace_argument,
 )
 from matrixbs.errors import (
-    DegenerateEigenvaluesError,
     DomainError,
+    NotSpdError,
     OutsideSupportError,
     SingularMatrixError,
 )
+from matrixbs.fit import loglik
 from matrixbs.kernels import gaussian_kernel, kotz_kernel
 from matrixbs.transform import GbsParams
 
@@ -206,15 +209,6 @@ class TestTDensity:
         total, _ = quad(pdf, beta, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_scalar_path_equals_general(self, rng):
-        p = GbsParams(n=6, xi=rand_spd(2, rng), beta=2.5 * np.eye(2))
-        kern = gaussian_kernel(6, 2)
-        for _ in range(20):
-            T = rand_spd(2, rng, 1.0, 8.0)
-            a = logpdf_T(T, p, kern, AP, path="scalar")
-            b = logpdf_T(T, p, kern, AP, path="general")
-            assert a == pytest.approx(b, abs=1e-10)
-
     def test_convention_constant(self, rng):
         p = GbsParams(n=6, xi=rand_spd(2, rng), beta=np.eye(2))
         kern = gaussian_kernel(6, 2)
@@ -228,10 +222,18 @@ class TestTDensity:
         with pytest.raises(OutsideSupportError):
             logpdf_T(T, p, gaussian_kernel(6, 2), BN)
 
-    def test_tied_eigenvalues_raise(self):
-        p = GbsParams(n=6, xi=np.eye(2), beta=np.eye(2))
-        with pytest.raises(DegenerateEigenvaluesError):
-            logpdf_T(3.0 * np.eye(2), p, gaussian_kernel(6, 2), AP)
+    def test_tied_eigenvalues_continuous(self):
+        # the product form has no 1/(d_i - d_j) term: the density is finite
+        # and continuous at tied eigenvalues, and agrees with the likelihood
+        xi = np.array([[1.0, 0.3], [0.3, 0.8]])
+        p = GbsParams(n=6, xi=xi, beta=100.0 * np.eye(2))
+        kern = gaussian_kernel(6, 2)
+        T = 250.0 * np.eye(2)
+        tied = logpdf_T(T, p, kern, AP)
+        assert math.isfinite(tied)
+        assert tied == pytest.approx(loglik(T[None], 6, 100.0, xi, kern), abs=1e-10)
+        nudged = logpdf_T(T + np.diag([1e-6, 0.0]), p, kern, AP)
+        assert abs(nudged - tied) < 1e-7
 
     def test_reduction_chain_on_grid(self):
         # matrix law, univariate law and 1x1 element-wise law coincide
@@ -269,6 +271,89 @@ class TestTDensity:
             W2 = dinv @ T2 @ dinv
             u2 = trace_argument(W2, p.xi)
             assert u1 == pytest.approx(u2, abs=1e-10 * max(1.0, u1))
+
+
+def reference_logpdf_T(T, n, xi, beta, kernel, convention):
+    """Log T-density of one matrix, from the formula term by term.
+
+    Spectrum from the generalised eigenproblem T v = d beta v, trace
+    argument from explicit inverses, kernel written out in full.
+    """
+    m = T.shape[0]
+    d = scipy.linalg.eigh(T, beta, eigvals_only=True)
+    log_g = 0.0
+    for i in range(m):
+        log_g += (n - m) * math.log(abs(1.0 - 1.0 / d[i])) + math.log(1.0 + 1.0 / d[i])
+        for j in range(i + 1, m):
+            log_g += math.log(abs(1.0 - 1.0 / (d[i] * d[j])))
+    delta = scipy.linalg.sqrtm(beta).real
+    dinv = np.linalg.inv(delta)
+    W = dinv @ T @ dinv
+    u = np.trace(np.linalg.inv(xi @ xi) @ (W + np.linalg.inv(W) - 2.0 * np.eye(m)))
+    nm = n * m
+    if kernel.family == "gaussian":
+        log_h = -0.5 * nm * math.log(2.0 * math.pi) - 0.5 * u
+    else:
+        q, r, s = kernel.q, kernel.r, kernel.s
+        a = (2.0 * q + nm - 2.0) / (2.0 * s)
+        log_h = (math.log(s) + a * math.log(r) + gammaln(nm / 2.0)
+                 - 0.5 * nm * math.log(math.pi) - gammaln(a)
+                 + (q - 1.0) * math.log(u) - r * u**s)
+    const = (0.5 * nm * math.log(math.pi) - multigammaln(n / 2.0, m)
+             - 0.5 * n * np.linalg.slogdet(beta)[1] - n * np.linalg.slogdet(xi)[1])
+    if convention is AP:
+        const -= m * math.log(2.0)
+    return (const + log_g + 0.5 * (n - m - 1) * np.linalg.slogdet(T)[1] + log_h)
+
+
+def scaled_stack(p, count, rng, low, high):
+    """count matrices Delta Q diag(d) Q' Delta with d drawn from [low, high],
+    keeping every d_i and d_i d_j away from 1."""
+    mats = []
+    while len(mats) < count:
+        d = rng.uniform(low, high, size=p.m)
+        pairs = np.outer(d, d)[np.triu_indices(p.m, 1)]
+        if np.abs(np.log(np.concatenate([d, pairs]))).min() < 0.05:
+            continue
+        Q, _ = np.linalg.qr(rng.normal(size=(p.m, p.m)))
+        S = p.delta @ (Q * d) @ Q.T @ p.delta
+        mats.append(0.5 * (S + S.T))
+    return np.array(mats)
+
+
+class TestTDensityStack:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, m, rng):
+        for n, beta in ((m, 2.5 * np.eye(m)), (m + 1, rand_spd(m, rng, 0.5, 4.0)),
+                        (m + 4, rand_spd(m, rng, 0.5, 4.0))):
+            p = GbsParams(n=n, xi=rand_spd(m, rng), beta=beta)
+            for convention, low in ((BN, 1.05), (AP, 0.3)):
+                T = scaled_stack(p, 8, rng, low, 6.0)
+                for kern in (gaussian_kernel(n, m), kotz_kernel(1.7, 0.6, 1.3, n, m)):
+                    got = logpdf_T(T, p, kern, convention)
+                    want = [reference_logpdf_T(t, n, p.xi, p.beta, kern, convention)
+                            for t in T]
+                    assert got.shape == (8,)
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+                    assert logpdf_T(T[3], p, kern, convention) == pytest.approx(
+                        got[3], rel=1e-13)
+
+    def test_non_spd_row_named(self, rng):
+        p = GbsParams(n=6, xi=np.eye(2), beta=np.eye(2))
+        T = scaled_stack(p, 5, rng, 1.2, 4.0)
+        T[2] = np.diag([3.0, -1.0])
+        with pytest.raises(NotSpdError, match=r"T\[2\]") as err:
+            logpdf_T(T, p, gaussian_kernel(6, 2), AP)
+        assert err.value.row == 2
+
+    def test_outside_branch_row_named(self, rng):
+        p = GbsParams(n=6, xi=np.eye(2), beta=rand_spd(2, rng))
+        T = scaled_stack(p, 5, rng, 1.2, 4.0)
+        T[3] = p.delta @ np.diag([3.0, 0.9]) @ p.delta
+        with pytest.raises(OutsideSupportError, match=r"T\[3\]") as err:
+            logpdf_T(T, p, gaussian_kernel(6, 2), BN)
+        assert err.value.row == 3
+        assert np.all(np.isfinite(logpdf_T(T, p, gaussian_kernel(6, 2), AP)))
 
 
 class TestTransformationLaws:

@@ -35,12 +35,6 @@ class TestGbsParams:
         p = random_params(4, 3, rng)
         assert np.abs(p.delta @ p.delta - p.beta).max() < 1e-10
 
-    def test_scalar_beta_detection(self):
-        p = GbsParams(n=3, xi=np.eye(2), beta=2.5 * np.eye(2))
-        assert p.scalar_beta() == pytest.approx(2.5)
-        q = GbsParams(n=3, xi=np.eye(2), beta=np.array([[2.0, 0.3], [0.3, 1.5]]))
-        assert q.scalar_beta() is None
-
     def test_scalar_beta_shorthand(self):
         p = GbsParams(n=3, xi=np.eye(2), beta=4.0)
         assert np.allclose(p.beta, 4.0 * np.eye(2))
