@@ -39,6 +39,21 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low (else a usage error)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
+_SEED = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matrixbs",
@@ -48,14 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON file with defaults for these flags")
         p.add_argument("--out", help="output file (.json for JSON, else text)")
-        p.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
+        p.add_argument("--seed", type=_SEED, help="seed for all randomness (default 0)")
 
     def add_model(p):
         p.add_argument("--family", choices=[GAUSSIAN, KOTZ], help="kernel family")
         p.add_argument("--q", type=float, help="Kotz power of the radial term")
         p.add_argument("--r", type=float, help="Kotz exponential rate")
         p.add_argument("--s", type=float, help="Kotz exponent inside the exponential")
-        p.add_argument("--n", type=int, help="degrees parameter of the model")
+        p.add_argument("--n", type=_POSITIVE, help="degrees parameter of the model")
         p.add_argument("--convention", choices=sorted(CONVENTIONS),
                        help="density normalisation convention (default branch)")
 
@@ -71,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a batch and write it to a file")
     add_common(p)
     add_model(p)
-    p.add_argument("--m", type=int, help="matrix order of each draw")
-    p.add_argument("--count", type=int, help="number of draws")
+    p.add_argument("--m", type=_POSITIVE, help="matrix order of each draw")
+    p.add_argument("--count", type=_POSITIVE, help="number of draws")
     p.add_argument("--beta", help="scale parameter(s), as in density")
     p.add_argument("--xi", help="shape parameter(s), as in density")
 
@@ -80,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_model(p)
     p.add_argument("--data", help="CSV or JSON batch file")
-    p.add_argument("--restarts", type=int, help="number of optimiser starts (default 5)")
+    p.add_argument("--restarts", type=int,
+                   help="number of optimiser starts of a kotz fit (default 5)")
     p.add_argument("--max-iter", type=int, help="iteration budget per start (default 5000)")
 
     p = sub.add_parser("compare", help="profile Kotz powers against the Gaussian baseline")
@@ -89,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV or JSON batch file")
     p.add_argument("--s-grid", help="comma-separated Kotz powers"
                                     " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)")
-    p.add_argument("--restarts", type=int, help="number of optimiser starts per row")
+    p.add_argument("--restarts", type=int, help="number of optimiser starts per kotz row")
     p.add_argument("--max-iter", type=int, help="iteration budget per start")
     p.add_argument("--jobs", type=int, help="parallel workers for grid rows (default 1)")
 

@@ -194,10 +194,11 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     """
     V = as_matrix(V, "V")
     _check_kernel_dims(kernel, params.n, params.m)
-    _check_branch_support(branch_eigs(V, params), convention, "V")
+    eigs = branch_eigs(V, params)
+    _check_branch_support(eigs, convention, "V")
 
     if jacobian == "sv":
-        log_j, _ = log_jacobian_sv(V, params, "first", check=False)
+        log_j, _ = log_jacobian_sv(V, params, "first", check=False, eigs=eigs)
     elif jacobian == "det":
         det_val = abs(jacobian_det_form(V, params))
         log_j = math.log(det_val) if det_val > 0.0 else -math.inf

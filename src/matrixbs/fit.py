@@ -3,9 +3,21 @@
 The model has a scalar scale beta (beta I_m), an SPD shape matrix Xi, and
 for the Kotz family a fixed power s with free (r, q).  The log-likelihood
 is the T-density of density.log_t_density summed over the batch, from
-per-observation eigenvalues cached once per dataset; it is maximised with
-a derivative-free simplex search in an unconstrained reparameterisation,
-from a moment-style starting point plus jittered restarts.
+per-observation eigenvalues cached once per dataset.
+
+Gaussian: at fixed beta the shape has the closed form
+
+    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I,
+
+which needs only the batch sums of T_k and T_k^{-1}.  The MLE is then a
+bounded scalar search of this profile likelihood in log beta over
+[beta_max / 1e6, beta_max], beta_max = BETA_MARGIN * min eigenvalue; below
+that range the profile is flat to a constant.  The result does not depend
+on the seed, restarts, jitter or warm start.
+
+Kotz: a derivative-free simplex search in an unconstrained
+reparameterisation, from a moment-style starting point, an optional warm
+start and seeded jittered restarts.
 
 Model comparison uses the modified criterion
 
@@ -42,6 +54,8 @@ DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 # beta stays below this fraction of the smallest observed eigenvalue so the
 # branch-region logarithms stay defined.
 BETA_MARGIN = 1.0 - 1e-6
+# the Gaussian profile search covers beta in [beta_max / BETA_RANGE, beta_max]
+BETA_RANGE = 1e6
 
 
 def _as_stack(data) -> np.ndarray:
@@ -173,6 +187,7 @@ class FitSpec:
 
     family: str = GAUSSIAN
     s: float = 1.0                      # fixed Kotz power; ignored for Gaussian
+    # restarts, jitter, seed and warm_start steer the Kotz search only
     restarts: int = 5
     max_iter: int = 5000
     rel_ftol: float = 1e-10
@@ -184,10 +199,12 @@ class FitSpec:
     def __post_init__(self):
         if self.family not in (GAUSSIAN, KOTZ):
             raise DomainError(f"unknown family {self.family!r}")
-        if self.family == KOTZ and self.s <= 0.0:
-            raise DomainError(f"fixed Kotz power s must be positive, got {self.s}")
+        if not math.isfinite(self.s) or (self.family == KOTZ and self.s <= 0.0):
+            raise DomainError(f"fixed Kotz power s must be positive and finite, got {self.s}")
         if self.restarts < 1:
             raise DomainError("need at least one start")
+        if self.max_iter < 1:
+            raise DomainError(f"iteration budget must be at least 1, got {self.max_iter}")
 
 
 @dataclass
@@ -246,22 +263,19 @@ def evidence_grade(diff: float) -> EvidenceGrade:
 
 
 class _Packer:
-    """Map model parameters to and from the unconstrained search vector.
+    """Map Kotz parameters to and from the unconstrained search vector.
 
     beta = beta_max * sigmoid(x0) keeps the scale below the smallest
     observed eigenvalue (log-scale behaviour far from the cap); Xi is a
-    Cholesky factor with logged diagonal; Kotz adds ln r and
-    ln(q - (2 - nm)/2).
+    Cholesky factor with logged diagonal; then ln r and ln(q - (2 - nm)/2).
     """
 
-    def __init__(self, m: int, n: int, beta_max: float, kotz: bool, s: float):
-        self.m, self.n = m, n
+    def __init__(self, m: int, n: int, beta_max: float):
+        self.m = m
         self.beta_max = beta_max
-        self.kotz = kotz
-        self.s = s
         self.q_floor = (2.0 - n * m) / 2.0
         self.tril = [(i, j) for i in range(m) for j in range(i + 1)]
-        self.dim = 1 + len(self.tril) + (2 if kotz else 0)
+        self.dim = 1 + len(self.tril) + 2
 
     def pack(self, beta: float, xi: np.ndarray, r: float, q: float) -> np.ndarray:
         x = np.empty(self.dim)
@@ -270,9 +284,8 @@ class _Packer:
         L = np.linalg.cholesky(check_spd(xi, "xi"))
         for idx, (i, j) in enumerate(self.tril, start=1):
             x[idx] = math.log(L[i, i]) if i == j else L[i, j]
-        if self.kotz:
-            x[-2] = math.log(r)
-            x[-1] = math.log(max(q - self.q_floor, 1e-12))
+        x[-2] = math.log(r)
+        x[-1] = math.log(max(q - self.q_floor, 1e-12))
         return x
 
     def unpack(self, x: np.ndarray):
@@ -280,39 +293,46 @@ class _Packer:
         L = np.zeros((self.m, self.m))
         for idx, (i, j) in enumerate(self.tril, start=1):
             L[i, j] = math.exp(min(x[idx], 200.0)) if i == j else x[idx]
-        xi = L @ L.T
-        if self.kotz:
-            r = math.exp(min(x[-2], 200.0))
-            q = self.q_floor + math.exp(min(x[-1], 200.0))
-        else:
-            r, q = 0.5, 1.0
-        return beta, sym_part(xi), r, q
+        r = math.exp(min(x[-2], 200.0))
+        q = self.q_floor + math.exp(min(x[-1], 200.0))
+        return beta, sym_part(L @ L.T), r, q
 
 
-def _kernel_for(family: str, n: int, m: int, s: float, r: float, q: float) -> KernelSpec:
-    if family == GAUSSIAN:
-        return gaussian_kernel(n, m)
-    return kotz_kernel(q, r, s, n, m)
+def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int, beta_max: float):
+    """Profile-likelihood search: the closed-form shape at each beta, Brent's
+    bounded method in log beta.  Returns (beta, xi, converged, evaluations)."""
+    from scipy.optimize import minimize_scalar
+
+    K, m = prep.K, prep.m
+    sum_T, sum_inv = prep.flat.sum(axis=1).reshape(2, m, m)
+    kernel = gaussian_kernel(n, m)
+
+    def shape(beta):
+        w, P = np.linalg.eigh(sym_part(sum_T / beta + beta * sum_inv) / (K * n)
+                              - (2.0 / n) * np.eye(m))
+        return sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
+
+    def objective(log_beta):
+        beta = math.exp(log_beta)
+        value = _loglik_prepared(prep, n, beta, shape(beta), kernel)
+        return -value if math.isfinite(value) else math.inf
+
+    top = math.log(beta_max)
+    res = minimize_scalar(objective, bounds=(top - math.log(BETA_RANGE), top),
+                          method="bounded",
+                          options={"xatol": 1e-10, "maxiter": spec.max_iter})
+    beta = math.exp(res.x)
+    return beta, shape(beta), bool(res.success), int(res.nfev)
 
 
-def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
-    """Maximise the log-likelihood with a multi-start simplex search.
-
-    Starts from the moment-style guess (plus an optional warm start and
-    seeded jittered copies) and returns the best local optimum.  A fit that
-    exhausts the iteration budget is returned flagged, not raised.
-    """
+def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
+              beta_max: float):
+    """Multi-start simplex search.  Returns (beta, xi, r, q, converged,
+    iterations summed over the starts)."""
     from scipy.optimize import minimize
 
-    mats = _as_stack(data)
-    prep = _Prepared(mats)
-    K, m = prep.K, prep.m
-    if K < 2:
-        raise DomainError("fitting needs at least two observations")
-    kotz = spec.family == KOTZ
-    beta_max = BETA_MARGIN * prep.min_lam
-    packer = _Packer(m, n, beta_max, kotz, spec.s)
-
+    m = prep.m
+    packer = _Packer(m, n, beta_max)
     guess = init_guess(mats, n)
     starts = [packer.pack(min(guess.beta0, 0.9 * beta_max), guess.xi0,
                           guess.r0, guess.q0)]
@@ -328,7 +348,7 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     def objective(x):
         beta, xi, r, q = packer.unpack(x)
         try:
-            kernel = _kernel_for(spec.family, n, m, spec.s, r, q)
+            kernel = kotz_kernel(q, r, spec.s, n, m)
         except DomainError:
             return math.inf
         value = _loglik_prepared(prep, n, beta, xi, kernel)
@@ -345,18 +365,42 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
         total_iters += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-    beta, xi, r, q = packer.unpack(best.x)
-    value = _loglik_prepared(prep, n, beta, xi,
-                             _kernel_for(spec.family, n, m, spec.s, r, q), spec.convention)
+    return (*packer.unpack(best.x), bool(best.success), total_iters)
+
+
+def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
+    """Maximise the log-likelihood of one family.
+
+    Gaussian: a bounded scalar search of the profile likelihood in log
+    beta, with the shape in closed form.  Kotz: the best local optimum of a
+    simplex search from the moment-style guess, an optional warm start and
+    seeded jittered copies of the guess.  A fit that exhausts the
+    iteration budget is returned flagged, not raised.
+    """
+    mats = _as_stack(data)
+    prep = _Prepared(mats)
+    K, m = prep.K, prep.m
+    if K < 2:
+        raise DomainError("fitting needs at least two observations")
+    kotz = spec.family == KOTZ
+    beta_max = BETA_MARGIN * prep.min_lam
+    if kotz:
+        beta, xi, r, q, converged, iterations = _fit_kotz(mats, prep, spec, n, beta_max)
+        kernel = kotz_kernel(q, r, spec.s, n, m)
+    else:
+        beta, xi, converged, iterations = _fit_gaussian(prep, spec, n, beta_max)
+        r = q = None
+        kernel = gaussian_kernel(n, m)
+    value = _loglik_prepared(prep, n, beta, xi, kernel, spec.convention)
     n_p = 1 + m * (m + 1) // 2 + (2 if kotz else 0)
     return FitResult(
         family=spec.family, s=spec.s if kotz else None,
-        beta=beta, xi=xi, r=r if kotz else None, q=q if kotz else None,
+        beta=beta, xi=xi, r=r, q=q,
         loglik_max=float(value), n_params=n_p,
         bic_star=bic_star(float(value), n_p, K),
-        converged=bool(best.success), iterations=total_iters,
+        converged=converged, iterations=iterations,
         seed=spec.seed, n=n, m=m, K=K, convention=spec.convention,
-        n_support_violations=len(outside_support(mats, beta)),
+        n_support_violations=int(np.count_nonzero(prep.lam[:, 0] <= beta)),
     )
 
 
@@ -404,13 +448,11 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
     """
     mats = _as_stack(data)
     s_values = [float(s) for s in s_values]
-    if any(s <= 0.0 for s in s_values):
-        raise DomainError("all grid powers must be positive")
+    if not all(0.0 < s < math.inf for s in s_values):
+        raise DomainError("all grid powers must be positive and finite")
     base = spec if spec is not None else FitSpec()
-    gauss = fit_mle(mats, FitSpec(family=GAUSSIAN, restarts=base.restarts,
-                                  max_iter=base.max_iter, rel_ftol=base.rel_ftol,
-                                  jitter=base.jitter, seed=base.seed,
-                                  convention=base.convention), n)
+    gauss = fit_mle(mats, FitSpec(family=GAUSSIAN, max_iter=base.max_iter,
+                                  seed=base.seed, convention=base.convention), n)
     warm = {"beta": gauss.beta, "xi": gauss.xi, "r": 0.5, "q": 1.0}
     tasks = [(mats, n, s, base, warm, base.seed + 1 + i)
              for i, s in enumerate(s_values)]

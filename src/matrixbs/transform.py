@@ -223,11 +223,13 @@ def jacobian_det_form(V, params: GbsParams) -> float:
     return float(math.exp(-n * logdet_xi + logdet_in))
 
 
-def log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True):
+def log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True,
+                    eigs: np.ndarray | None = None):
     """log|Jacobian| of forward_map by the product form, and the factor's sign;
-    check rejects tied eigenvalues and the unit boundary."""
+    check rejects tied eigenvalues and the unit boundary.  eigs passes in
+    branch_eigs(V, params) when the caller has it already."""
     n, m = params.n, params.m
-    g2 = branch_eigs(V, params)
+    g2 = branch_eigs(V, params) if eigs is None else eigs
     if check:
         if m > 1:
             gaps = g2[:-1] - g2[1:]

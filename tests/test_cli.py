@@ -204,6 +204,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "usage:" in err and "--count" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "6", "--m", "2", "--count", "3", "--seed", "-1"),
+        ("sample", "--n", "6", "--m", "0", "--count", "3", "--seed", "1"),
+        ("sample", "--n", "6", "--m", "2", "--count", "0", "--seed", "1"),
+        ("sample", "--n", "0", "--m", "2", "--count", "3", "--seed", "1"),
+        ("fit", "--family", "kotz", "--s", "1", "--n", "6", "--seed", "-1"),
+        ("validate", "--seed", "-1"),
+    ], ids=["sample-seed", "sample-m", "sample-count", "sample-n", "fit-seed", "validate-seed"])
+    def test_out_of_range_integers_exit_two(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--s-grid", "nan"),
+        ("compare", "--s-grid", "inf"),
+        ("fit", "--family", "kotz", "--s", "nan"),
+        ("fit", "--family", "kotz", "--s", "inf"),
+        ("fit", "--max-iter", "0"),
+    ])
+    def test_bad_search_settings_exit_two(self, argv, pop_csv, capsys):
+        assert run(*argv, "--data", str(pop_csv), "--n", "6") == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.integrate import quad
 from scipy.special import gammaln, multigammaln
 
+from matrixbs import density, transform
 from matrixbs.density import (
     Convention,
     ElementwiseParams,
@@ -139,6 +140,29 @@ class TestVDensity:
             a = logpdf_V(V, p, kern, AP, jacobian="sv")
             b = logpdf_V(V, p, kern, AP, jacobian="det")
             assert a == pytest.approx(b, abs=1e-10)
+
+    def test_sv_route_one_spectrum_matches_det(self, rng, monkeypatch):
+        # the support check's spectrum is the one the product form uses
+        calls = []
+        branch_eigs = transform.branch_eigs
+
+        def counted(V, params):
+            calls.append(1)
+            return branch_eigs(V, params)
+
+        monkeypatch.setattr(density, "branch_eigs", counted)
+        monkeypatch.setattr(transform, "branch_eigs", counted)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n + 1))
+            p = GbsParams(n=n, xi=rand_spd(m, rng), beta=rand_spd(m, rng))
+            V = rng.normal(size=(n, m)) * rng.uniform(0.5, 2.0)
+            kern = kotz_kernel(1.4, 0.6, 1.2, n, m)
+            calls.clear()
+            a = logpdf_V(V, p, kern, AP, jacobian="sv")
+            assert len(calls) == 1
+            b = logpdf_V(V, p, kern, AP, jacobian="det")
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_scalar_case_equals_sqrt_law(self):
         p = GbsParams(n=1, xi=np.array([[0.7]]), beta=np.array([[1.8]]))

@@ -142,6 +142,25 @@ class TestFitMle:
         assert k.loglik_max >= g.loglik_max - 1e-6
         assert k.n_params == 6
 
+    def test_gaussian_ignores_kotz_search_options(self):
+        batch = make_batch(20, 7)
+        ref = fit_mle(batch, FitSpec(family="gaussian"), 6)
+        warm = {"beta": 0.5 * ref.beta, "xi": 2.0 * ref.xi}
+        for seed in range(5):
+            for extra in ({"restarts": 1}, {"restarts": 5}, {"jitter": 1.0},
+                          {"warm_start": warm}):
+                res = fit_mle(batch, FitSpec(family="gaussian", seed=seed, **extra), 6)
+                assert res.beta == ref.beta
+                assert np.array_equal(res.xi, ref.xi)
+                assert res.loglik_max == ref.loglik_max
+
+    def test_degrees_equal_order_fits(self):
+        batch = make_batch(30, 4, n=2)
+        res = fit_mle(batch, FitSpec(family="gaussian"), 2)
+        assert math.isfinite(res.loglik_max)
+        assert res.beta <= np.linalg.eigvalsh(batch.matrices).min()
+        assert np.linalg.eigvalsh(res.xi).min() > 0.0
+
     def test_convention_invariance_of_fit(self):
         batch = make_batch(16, 77)
         const = batch.count * batch.m * math.log(2.0)
@@ -161,6 +180,97 @@ class TestFitMle:
         diff_a = k_a.bic_star - g_a.bic_star
         diff_b = k_b.bic_star - g_b.bic_star
         assert diff_b == pytest.approx(diff_a, abs=1e-3)
+
+
+def _shape_at(T, n, beta):
+    """Gaussian shape maximising the likelihood at fixed beta, from each A_k."""
+    K, m, _ = T.shape
+    A = (T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(m)).sum(axis=0) / (K * n)
+    w, P = np.linalg.eigh(0.5 * (A + A.T))
+    return (P * np.sqrt(w)) @ P.T
+
+
+def _oracle_loglik(T, n, starts):
+    """Best Nelder-Mead optimum of fit.loglik over (log beta, Cholesky of Xi
+    with logged diagonal), three chained runs per start."""
+    from scipy.optimize import minimize
+
+    m = T.shape[1]
+    kernel = gaussian_kernel(n, m)
+    tril = np.tril_indices(m)
+    diag = tril[0] == tril[1]
+
+    def unpack(x):
+        L = np.zeros((m, m))
+        L[tril] = np.where(diag, np.exp(np.minimum(x[1:], 50.0)), x[1:])
+        return math.exp(x[0]), L @ L.T
+
+    def objective(x):
+        value = loglik(T, n, *unpack(x), kernel)
+        return -value if math.isfinite(value) else math.inf
+
+    best = -math.inf
+    for beta, xi in starts:
+        L = np.linalg.cholesky(xi)[tril]
+        x0 = np.concatenate([[math.log(beta)], np.where(diag, np.log(np.abs(L)), L)])
+        for _ in range(3):  # restart from the last optimum to escape a collapsed simplex
+            res = minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": 20000, "maxfev": 40000,
+                                    "xatol": 1e-10, "fatol": 1e-12})
+            x0 = res.x
+        best = max(best, -res.fun)
+    return best
+
+
+def _profile_fixtures():
+    beta3 = np.array([[2.0, 0.4, 0.1], [0.4, 1.5, 0.2], [0.1, 0.2, 1.0]])
+    xi3 = np.array([[0.7, 0.1, 0.0], [0.1, 0.5, 0.05], [0.0, 0.05, 0.4]])
+    return [
+        pytest.param(make_batch(20, 31), 6, id="gaussian m=2"),
+        pytest.param(sample_batch(GbsParams(n=5, xi=XI_TRUE,
+                                            beta=np.array([[90.0, 20.0], [20.0, 60.0]])),
+                                  kotz_kernel(2.0, 0.8, 1.5, 5, 2), 25, 32), 5,
+                     id="kotz full beta m=2"),
+        pytest.param(make_batch(30, 33, xi=xi3, n=7), 7, id="gaussian m=3"),
+        pytest.param(sample_batch(GbsParams(n=8, xi=xi3, beta=beta3),
+                                  kotz_kernel(3.0, 1.2, 0.8, 8, 3), 40, 34), 8,
+                     id="kotz full beta m=3"),
+    ]
+
+
+class TestGaussianProfile:
+    @pytest.mark.parametrize("batch,n", _profile_fixtures())
+    def test_at_least_simplex_oracle(self, batch, n):
+        T = batch.matrices
+        res = fit_mle(batch, FitSpec(family="gaussian"), n)
+        guess = init_guess(T, n)
+        beta0 = min(guess.beta0, 0.9 * np.linalg.eigvalsh(T).min())
+        starts = [(beta0, guess.xi0), (0.5 * beta0, _shape_at(T, n, 0.5 * beta0))]
+        oracle = _oracle_loglik(T, n, starts)
+        assert res.loglik_max >= oracle - 1e-8
+        assert res.loglik_max - oracle < 1e-3  # the oracle found the same optimum
+
+    @pytest.mark.parametrize("batch,n", _profile_fixtures())
+    def test_dense_beta_grid_never_higher(self, batch, n):
+        T = batch.matrices
+        res = fit_mle(batch, FitSpec(family="gaussian"), n)
+        kernel = gaussian_kernel(n, T.shape[1])
+        top = np.linalg.eigvalsh(T).min() * (1.0 - 1e-6)
+        grid = [loglik(T, n, b, _shape_at(T, n, b), kernel)
+                for b in np.geomspace(top * 1e-6, top, 1500)]
+        assert max(grid) <= res.loglik_max + 1e-8
+        assert res.xi == pytest.approx(_shape_at(T, n, res.beta), rel=1e-10, abs=1e-12)
+
+
+class TestFitSpec:
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_kotz_power_positive_finite(self, s):
+        with pytest.raises(DomainError):
+            FitSpec(family="kotz", s=s)
+
+    def test_iteration_budget_positive(self):
+        with pytest.raises(DomainError):
+            FitSpec(max_iter=0)
 
 
 class TestBicStar:
@@ -265,3 +375,9 @@ class TestProfileGrid:
         batch = make_batch(5, 1)
         with pytest.raises(DomainError):
             profile_s_grid(batch, (0.5, -1.0), 6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid(self, bad):
+        batch = make_batch(5, 1)
+        with pytest.raises(DomainError):
+            profile_s_grid(batch, (0.5, bad), 6)
