@@ -52,6 +52,8 @@ def _int_at_least(low: int):
 
 _SEED = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
+MAX_ITER_HELP = ("iteration budget of the search: Gaussian likelihood evaluations,"
+                 " Kotz simplex iterations (default 5000)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,9 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_model(p)
     p.add_argument("--data", help="CSV or JSON batch file")
-    p.add_argument("--restarts", type=int,
-                   help="number of optimiser starts of a kotz fit (default 5)")
-    p.add_argument("--max-iter", type=int, help="iteration budget per start (default 5000)")
+    p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
 
     p = sub.add_parser("compare", help="profile Kotz powers against the Gaussian baseline")
     add_common(p)
@@ -105,8 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="CSV or JSON batch file")
     p.add_argument("--s-grid", help="comma-separated Kotz powers"
                                     " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)")
-    p.add_argument("--restarts", type=int, help="number of optimiser starts per kotz row")
-    p.add_argument("--max-iter", type=int, help="iteration budget per start")
+    p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
     p.add_argument("--jobs", type=int, help="parallel workers for grid rows (default 1)")
 
     p = sub.add_parser("validate", help="run the oracle cross-check suite")
@@ -126,6 +125,10 @@ def _merge_config(parser: argparse.ArgumentParser, argv: list[str],
         raise UsageError(f"cannot read config {args.config}: {bad}")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    unknown = sorted(key for key in cfg if not hasattr(args, key.replace("-", "_")))
+    if unknown:
+        raise UsageError(f"config names options {args.command} does not take:"
+                         f" {', '.join(unknown)}")
     extra = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()
              if value is not None and getattr(args, key.replace("-", "_"), False) is None]
     return parser.parse_args([args.command, *extra, *argv[1:]])
@@ -216,8 +219,6 @@ def _fit_spec(args, family: str, s: float = 1.0) -> FitSpec:
               "convention": _convention(args)}
     if family == KOTZ:
         kwargs["s"] = s
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
     return FitSpec(**kwargs)

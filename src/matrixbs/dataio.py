@@ -150,8 +150,9 @@ def read_batch(path) -> SampleBatch:
 
 
 N_P_NOTE = ("n_p counts beta plus the upper triangle of the shape matrix"
-            " (plus r and q for the Kotz family); BIC* penalises with the"
-            " sample size K")
+            " (plus r and q for the Kotz family, as the paper counts them;"
+            " r is pinned at 1/2, so q is the one free extra); BIC* penalises"
+            " with the sample size K")
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

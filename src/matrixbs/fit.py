@@ -1,9 +1,13 @@
 """Maximum likelihood for Kotz-kernel Birnbaum-Saunders matrix models.
 
 The model has a scalar scale beta (beta I_m), an SPD shape matrix Xi, and
-for the Kotz family a fixed power s with free (r, q).  The log-likelihood
-is the T-density of density.log_t_density summed over the batch, from
-per-observation eigenvalues cached once per dataset.
+for the Kotz family a fixed power s with (r, q).  The log-likelihood is
+the T-density of density.log_t_density summed over the batch, from
+per-observation eigenvalues cached once per dataset.  Both families search
+beta only up to beta_max = BETA_MARGIN * min eigenvalue: every
+observation then lies in the branch region, the support of the sampler's
+law, under either convention.  For n > m the likelihood is -inf beyond
+it; for n = m it stays finite there, but that is not the sampled law.
 
 Gaussian: at fixed beta the shape has the closed form
 
@@ -11,20 +15,28 @@ Gaussian: at fixed beta the shape has the closed form
 
 which needs only the batch sums of T_k and T_k^{-1}.  The MLE is then a
 bounded scalar search of this profile likelihood in log beta over
-[beta_max / 1e6, beta_max], beta_max = BETA_MARGIN * min eigenvalue; below
-that range the profile is flat to a constant.  The result does not depend
-on the seed, restarts, jitter or warm start.
+[beta_max / 1e6, beta_max]; below that range the profile is flat to a
+constant.
 
-Kotz: a derivative-free simplex search in an unconstrained
-reparameterisation, from a moment-style starting point, an optional warm
-start and seeded jittered restarts.
+Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
+is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  At
+fixed (beta, q) the shape M = Xi^{-2} solves the elliptical scatter
+equations (Kent & Tyler 1991); each inner step first rescales M in closed
+form, M <- c M with c^s = K a / (r sum_k u_k^s), u_k = tr(M A_k) and
+a = (2q + nm - 2) / (2s), then takes a safeguarded Newton step on the
+upper triangle of M.  A Nelder-Mead search over (logit beta/beta_max,
+ln(q - (2 - nm)/2)) maximises this profile from the better of the moment
+guess and the Gaussian optimum, both at q = 1, and warm-starts each inner
+solve from the previous one.  Both fits are deterministic: the seed is
+only recorded.
 
 Model comparison uses the modified criterion
 
     BIC* = -2 loglik_max + n_p (ln(K + 2) - ln 24),
 
-where K is the sample size and n_p the number of free parameters
-(1 + m(m+1)/2, plus 2 for the Kotz family).  Differences are graded
+where K is the sample size and n_p the number of free parameters as the
+paper counts them: 1 + m(m+1)/2, plus 2 for the Kotz family.  With r
+pinned, the effective Kotz extra count is 1 (q).  Differences are graded
 Weak / Positive / Strong / VeryStrong at thresholds 2, 6 and 10.
 """
 
@@ -56,6 +68,15 @@ DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 BETA_MARGIN = 1.0 - 1e-6
 # the Gaussian profile search covers beta in [beta_max / BETA_RANGE, beta_max]
 BETA_RANGE = 1e6
+# Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
+# and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
+KOTZ_R = 0.5
+# Newton steps per Kotz profile point, and the Newton decrement that ends them
+INNER_STEPS = 50
+INNER_TOL = 1e-10
+# the Kotz search caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
+# terms of a K = 20 likelihood reach 1e15, and their rounding exceeds 0.1
+LOG_Q_CAP = 30.0
 
 
 def _as_stack(data) -> np.ndarray:
@@ -187,22 +208,17 @@ class FitSpec:
 
     family: str = GAUSSIAN
     s: float = 1.0                      # fixed Kotz power; ignored for Gaussian
-    # restarts, jitter, seed and warm_start steer the Kotz search only
-    restarts: int = 5
     max_iter: int = 5000
     rel_ftol: float = 1e-10
-    jitter: float = 0.25
-    seed: int = 0
+    seed: int = 0                       # recorded only: both fits are deterministic
     convention: Convention = Convention.AS_PUBLISHED
-    warm_start: dict | None = None      # {"beta":, "xi":, "r":, "q":} overrides
+    warm_start: dict | None = None      # Kotz: a Gaussian optimum {"beta":, "xi":}
 
     def __post_init__(self):
         if self.family not in (GAUSSIAN, KOTZ):
             raise DomainError(f"unknown family {self.family!r}")
         if not math.isfinite(self.s) or (self.family == KOTZ and self.s <= 0.0):
             raise DomainError(f"fixed Kotz power s must be positive and finite, got {self.s}")
-        if self.restarts < 1:
-            raise DomainError("need at least one start")
         if self.max_iter < 1:
             raise DomainError(f"iteration budget must be at least 1, got {self.max_iter}")
 
@@ -262,42 +278,6 @@ def evidence_grade(diff: float) -> EvidenceGrade:
     return EvidenceGrade.VERY_STRONG
 
 
-class _Packer:
-    """Map Kotz parameters to and from the unconstrained search vector.
-
-    beta = beta_max * sigmoid(x0) keeps the scale below the smallest
-    observed eigenvalue (log-scale behaviour far from the cap); Xi is a
-    Cholesky factor with logged diagonal; then ln r and ln(q - (2 - nm)/2).
-    """
-
-    def __init__(self, m: int, n: int, beta_max: float):
-        self.m = m
-        self.beta_max = beta_max
-        self.q_floor = (2.0 - n * m) / 2.0
-        self.tril = [(i, j) for i in range(m) for j in range(i + 1)]
-        self.dim = 1 + len(self.tril) + 2
-
-    def pack(self, beta: float, xi: np.ndarray, r: float, q: float) -> np.ndarray:
-        x = np.empty(self.dim)
-        frac = min(max(beta / self.beta_max, 1e-12), 1.0 - 1e-9)
-        x[0] = logit(frac)
-        L = np.linalg.cholesky(check_spd(xi, "xi"))
-        for idx, (i, j) in enumerate(self.tril, start=1):
-            x[idx] = math.log(L[i, i]) if i == j else L[i, j]
-        x[-2] = math.log(r)
-        x[-1] = math.log(max(q - self.q_floor, 1e-12))
-        return x
-
-    def unpack(self, x: np.ndarray):
-        beta = float(self.beta_max * expit(x[0]))
-        L = np.zeros((self.m, self.m))
-        for idx, (i, j) in enumerate(self.tril, start=1):
-            L[i, j] = math.exp(min(x[idx], 200.0)) if i == j else x[idx]
-        r = math.exp(min(x[-2], 200.0))
-        q = self.q_floor + math.exp(min(x[-1], 200.0))
-        return beta, sym_part(L @ L.T), r, q
-
-
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int, beta_max: float):
     """Profile-likelihood search: the closed-form shape at each beta, Brent's
     bounded method in log beta.  Returns (beta, xi, converged, evaluations)."""
@@ -325,56 +305,161 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int, beta_max: float):
     return beta, shape(beta), bool(res.success), int(res.nfev)
 
 
+class _KotzProfile:
+    """Kotz log-likelihood at fixed (beta, q), maximised over M = Xi^{-2}.
+
+    M is held as theta, its upper triangle.  With A_k = T_k / beta +
+    beta T_k^{-1} - 2 I the traces u_k = tr(M A_k) are linear in theta, and
+    the M-dependent part of the log-likelihood is
+
+        (K n / 2) ln|M| + sum_k [(q - 1) ln u_k - r u_k^s].
+    """
+
+    def __init__(self, prep: _Prepared, n: int, s: float):
+        K, m = prep.K, prep.m
+        rows, cols = np.triu_indices(m)
+        p = len(rows)
+        # dup @ theta = vec(M), so tr(M A) = (vec(A) @ dup) @ theta
+        dup = np.zeros((m * m, p))
+        dup[rows * m + cols, np.arange(p)] = 1.0
+        dup[cols * m + rows, np.arange(p)] = 1.0
+        self.prep, self.n, self.s, self.dup = prep, n, s, dup
+        self.t_flat, self.inv_flat = prep.flat @ dup   # (K, p) each
+        self.eye = (rows == cols).astype(float)         # vec(I) @ dup
+        self.half_kn = 0.5 * K * n
+
+    def theta_of(self, xi: np.ndarray) -> np.ndarray:
+        return sym_part(np.linalg.inv(xi @ xi))[np.triu_indices(self.prep.m)]
+
+    def matrix(self, theta: np.ndarray) -> np.ndarray:
+        m = self.prep.m
+        return (self.dup @ theta).reshape(m, m)
+
+    def _part(self, theta, A, q) -> float:
+        """M-dependent log-likelihood; -inf unless M is positive definite."""
+        try:
+            L = np.linalg.cholesky(self.matrix(theta))
+        except np.linalg.LinAlgError:
+            return -math.inf
+        u = A @ theta
+        value = (2.0 * self.half_kn * np.log(np.diag(L)).sum()
+                 - KOTZ_R * np.sum(u ** self.s))
+        if q != 1.0:
+            value += (q - 1.0) * np.sum(np.log(u))
+        return float(value) if math.isfinite(value) else -math.inf
+
+    def solve(self, beta: float, q: float, theta: np.ndarray):
+        """Maximise over M from theta.  Returns (log-likelihood, theta,
+        converged)."""
+        m, s = self.prep.m, self.s
+        A = self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            theta, converged = self._newton(A, q, theta)
+        value = log_t_density(self.prep.lam / beta, np.maximum(A @ theta, 0.0),
+                              self.prep.sum_log_lam, self.n, m * math.log(beta),
+                              -0.5 * float(np.linalg.slogdet(self.matrix(theta))[1]),
+                              kotz_kernel(q, KOTZ_R, s, self.n, m),
+                              Convention.AS_PUBLISHED, total=True)
+        return (value if math.isfinite(value) else -math.inf), theta, converged
+
+    def _newton(self, A, q, theta):
+        """Each step rescales M along its ray in closed form, then takes a
+        Newton step with the Hessian flipped to negative definite, halved
+        until M stays SPD and the value rises."""
+        K, m, s, r = self.prep.K, self.prep.m, self.s, KOTZ_R
+        a = (2.0 * q + self.n * m - 2.0) / (2.0 * s)
+        dup = self.dup
+        for _ in range(INNER_STEPS):
+            # along M -> c M the maximum is at c^s = K a / (r sum_k u_k^s)
+            theta = theta * (K * a / (r * np.sum((A @ theta) ** s))) ** (1.0 / s)
+            u = A @ theta
+            W = np.linalg.inv(self.matrix(theta))
+            # first and second derivatives of (q - 1) ln u - r u^s
+            d1 = (q - 1.0) / u - r * s * u ** (s - 1.0)
+            d2 = -(q - 1.0) / u ** 2 - r * s * (s - 1.0) * u ** (s - 2.0)
+            grad = self.half_kn * (W.ravel() @ dup) + d1 @ A
+            # d^2 ln|M| in directions E, F is -tr(W E W F): the Kronecker W x W
+            kron = np.multiply.outer(W, W).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+            hess = (A.T * d2) @ A - self.half_kn * (dup.T @ kron @ dup)
+            w, P = np.linalg.eigh(hess)
+            w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())
+            step = P @ ((grad @ P) / w)
+            decrement = float(grad @ step)
+            if not math.isfinite(decrement):
+                return theta, False
+            value = self._part(theta, A, q)
+            floor = value - 1e-14 * max(1.0, abs(value))  # a fall within rounding
+            for _ in range(30):
+                if self._part(theta + step, A, q) >= floor:
+                    theta = theta + step
+                    break
+                step = 0.5 * step
+            else:
+                return theta, decrement <= INNER_TOL
+            if decrement <= INNER_TOL:
+                return theta, True
+        return theta, False
+
+
 def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
               beta_max: float):
-    """Multi-start simplex search.  Returns (beta, xi, r, q, converged,
-    iterations summed over the starts)."""
+    """Profile search over (beta, q) with r pinned at KOTZ_R.  Returns
+    (beta, xi, r, q, converged, profile evaluations)."""
     from scipy.optimize import minimize
 
-    m = prep.m
-    packer = _Packer(m, n, beta_max)
+    q_floor = (2.0 - n * prep.m) / 2.0
+    profile = _KotzProfile(prep, n, spec.s)
+
+    def pack(beta, q):
+        frac = min(max(beta / beta_max, 1e-12), 1.0 - 1e-9)
+        return np.array([logit(frac), math.log(q - q_floor)])
+
+    def unpack(x):
+        return float(beta_max * expit(x[0])), q_floor + math.exp(min(x[1], LOG_Q_CAP))
+
+    # two starts at q = 1: the moment guess and the Gaussian optimum
     guess = init_guess(mats, n)
-    starts = [packer.pack(min(guess.beta0, 0.9 * beta_max), guess.xi0,
-                          guess.r0, guess.q0)]
     if spec.warm_start is not None:
-        w = spec.warm_start
-        starts.append(packer.pack(min(float(w["beta"]), 0.999 * beta_max),
-                                  np.asarray(w["xi"], dtype=float),
-                                  float(w.get("r", 0.5)), float(w.get("q", 1.0))))
-    rng = np.random.default_rng(spec.seed)
-    while len(starts) < spec.restarts:
-        starts.append(starts[0] + rng.normal(0.0, spec.jitter, size=packer.dim))
+        beta_g = float(spec.warm_start["beta"])
+        xi_g = check_spd(spec.warm_start["xi"], "warm start xi")
+    else:
+        beta_g, xi_g, _, _ = _fit_gaussian(prep, spec, n, beta_max)
+    starts = []
+    for beta0, xi0 in ((min(guess.beta0, 0.9 * beta_max), guess.xi0), (beta_g, xi_g)):
+        x0 = pack(beta0, 1.0)
+        value, theta, _ = profile.solve(*unpack(x0), profile.theta_of(xi0))
+        starts.append((value, x0, theta))
+    f0, x0, theta = max(starts, key=lambda start: start[0])
+    last = [theta]  # each inner solve starts from the M of the previous one
 
     def objective(x):
-        beta, xi, r, q = packer.unpack(x)
-        try:
-            kernel = kotz_kernel(q, r, spec.s, n, m)
-        except DomainError:
+        value, theta, _ = profile.solve(*unpack(x), last[0])
+        if value == -math.inf:
             return math.inf
-        value = _loglik_prepared(prep, n, beta, xi, kernel)
-        return -value if math.isfinite(value) else math.inf
+        last[0] = theta
+        return -value
 
-    best = None
-    total_iters = 0
-    for x0 in starts:
-        f0 = objective(x0)
-        fatol = spec.rel_ftol * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": spec.max_iter, "maxfev": 2 * spec.max_iter,
-                                "fatol": fatol, "xatol": 1e-8})
-        total_iters += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    return (*packer.unpack(best.x), bool(best.success), total_iters)
+    fatol = spec.rel_ftol * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
+    res = minimize(objective, x0, method="Nelder-Mead",
+                   options={"maxiter": spec.max_iter, "maxfev": 2 * spec.max_iter,
+                            "fatol": fatol, "xatol": 1e-8})
+    beta, q = unpack(res.x)
+    _, theta, inner_converged = profile.solve(beta, q, last[0])
+    w, P = np.linalg.eigh(profile.matrix(theta))
+    xi = sym_part((P / np.sqrt(w)) @ P.T)
+    # at the cap on q the likelihood still rose: the maximum was not reached
+    converged = bool(res.success and inner_converged and res.x[1] < LOG_Q_CAP)
+    # profile evaluations: the starts, the search and the final solve
+    return beta, xi, KOTZ_R, q, converged, len(starts) + int(res.nfev) + 1
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     """Maximise the log-likelihood of one family.
 
     Gaussian: a bounded scalar search of the profile likelihood in log
-    beta, with the shape in closed form.  Kotz: the best local optimum of a
-    simplex search from the moment-style guess, an optional warm start and
-    seeded jittered copies of the guess.  A fit that exhausts the
+    beta, with the shape in closed form.  Kotz: r is pinned at 1/2 and a
+    simplex search over (beta, q) maximises the likelihood profiled over
+    the shape.  Both fits are deterministic.  A fit that exhausts the
     iteration budget is returned flagged, not raised.
     """
     mats = _as_stack(data)
@@ -430,10 +515,9 @@ class ProfileResult:
         return [row.s, row.fit.beta, *upper, row.fit.r, row.fit.q, row.bic_diff]
 
 
-def _fit_row(mats, n, s, base_spec: FitSpec, warm: dict, row_seed: int) -> FitResult:
-    spec = FitSpec(family=KOTZ, s=s, restarts=base_spec.restarts,
-                   max_iter=base_spec.max_iter, rel_ftol=base_spec.rel_ftol,
-                   jitter=base_spec.jitter, seed=row_seed,
+def _fit_row(mats, n, s, base_spec: FitSpec, warm: dict) -> FitResult:
+    spec = FitSpec(family=KOTZ, s=s, max_iter=base_spec.max_iter,
+                   rel_ftol=base_spec.rel_ftol, seed=base_spec.seed,
                    convention=base_spec.convention, warm_start=warm)
     return fit_mle(mats, spec, n)
 
@@ -442,9 +526,10 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
                    spec: FitSpec | None = None, jobs: int = 1) -> ProfileResult:
     """Fit the Gaussian baseline once, then one Kotz model per fixed s.
 
-    Each Kotz fit is warm-started from the Gaussian optimum at (r, q) =
-    (1/2, 1).  Rows that hit the iteration budget are kept with their
-    converged flag down; the table is always emitted in full.
+    Each Kotz search starts from the better of the moment guess and the
+    Gaussian optimum, both at q = 1.  Rows that hit the iteration budget are
+    kept with their converged flag down; the table is always emitted in
+    full.  jobs > 1 fits the rows in that many worker processes.
     """
     mats = _as_stack(data)
     s_values = [float(s) for s in s_values]
@@ -453,9 +538,8 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
     base = spec if spec is not None else FitSpec()
     gauss = fit_mle(mats, FitSpec(family=GAUSSIAN, max_iter=base.max_iter,
                                   seed=base.seed, convention=base.convention), n)
-    warm = {"beta": gauss.beta, "xi": gauss.xi, "r": 0.5, "q": 1.0}
-    tasks = [(mats, n, s, base, warm, base.seed + 1 + i)
-             for i, s in enumerate(s_values)]
+    warm = {"beta": gauss.beta, "xi": gauss.xi}
+    tasks = [(mats, n, s, base, warm) for s in s_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fits = list(pool.map(_fit_row_star, tasks))

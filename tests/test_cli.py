@@ -229,6 +229,17 @@ class TestConfig:
         assert run(*argv, "--data", str(pop_csv), "--n", "6") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_removed_restarts_exit_two(self, command, pop_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--data", str(pop_csv), "--n", "6", "--restarts", "3")
+        assert exc.value.code == 2
+        for key in ("restarts", "jitter"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: 3}), encoding="utf-8")
+            assert run(command, "--config", str(cfg), "--data", str(pop_csv), "--n", "6") == 2
+            assert key in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from matrixbs.dataio import read_batch
 from matrixbs.density import Convention, logpdf_T, logpdf_uni_gbs
 from matrixbs.errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from matrixbs.fit import (
@@ -147,8 +149,7 @@ class TestFitMle:
         ref = fit_mle(batch, FitSpec(family="gaussian"), 6)
         warm = {"beta": 0.5 * ref.beta, "xi": 2.0 * ref.xi}
         for seed in range(5):
-            for extra in ({"restarts": 1}, {"restarts": 5}, {"jitter": 1.0},
-                          {"warm_start": warm}):
+            for extra in ({}, {"warm_start": warm}):
                 res = fit_mle(batch, FitSpec(family="gaussian", seed=seed, **extra), 6)
                 assert res.beta == ref.beta
                 assert np.array_equal(res.xi, ref.xi)
@@ -262,6 +263,121 @@ class TestGaussianProfile:
         assert res.xi == pytest.approx(_shape_at(T, n, res.beta), rel=1e-10, abs=1e-12)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+# Maximum log-likelihoods (as published) of the search that fitted Kotz models
+# before the profile search: Nelder-Mead over (beta, Xi, r, q) from five starts
+# (the moment guess, the Gaussian optimum and three jittered copies), as
+# profile_s_grid ran it with seed 0.
+POP_B_MULTISTART = {3.0: -358.3077310110013, 4.0: -358.34751342109877,
+                    5.0: -358.4650697043568}
+BULK_MULTISTART = {1.0: -74555.4197986639, 1.5: -74549.78155914469}
+
+
+def _bulk_batch():
+    """m = 3, K = 2000 Kotz batch with a full scale, as in the bulk benchmark."""
+    beta = np.array([[100.0, 10.0, 0.0], [10.0, 120.0, 5.0], [0.0, 5.0, 90.0]])
+    xi = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.2]])
+    return sample_batch(GbsParams(n=8, xi=xi, beta=beta),
+                        kotz_kernel(2.0, 0.5, 1.5, 8, 3), 2000, 2026)
+
+
+def _inv_sqrt(M):
+    w, P = np.linalg.eigh(M)
+    return (P / np.sqrt(w)) @ P.T
+
+
+class TestKotzProfile:
+    def test_rate_scale_invariance(self):
+        # the reason r is pinned: (Xi, r) -> (c Xi, r c^(2s)) leaves the likelihood
+        batch = make_batch(20, 7)
+        q, r, s = 1.7, 0.4, 1.3
+        ref = loglik(batch, 6, 90.0, XI_TRUE, kotz_kernel(q, r, s, 6, 2))
+        for c in (0.5, 2.0):
+            value = loglik(batch, 6, 90.0, c * XI_TRUE, kotz_kernel(q, r * c ** (2 * s), s, 6, 2))
+            assert value == pytest.approx(ref, rel=1e-12)
+
+    def test_seed_independent_and_rate_pinned(self):
+        batch = make_batch(20, 7)
+        ref = fit_mle(batch, FitSpec(family="kotz", s=1.5, seed=0), 6)
+        assert ref.r == 0.5 and ref.converged
+        for seed in range(1, 5):
+            res = fit_mle(batch, FitSpec(family="kotz", s=1.5, seed=seed), 6)
+            assert res.beta == pytest.approx(ref.beta, rel=1e-6)
+            assert res.q == pytest.approx(ref.q, rel=1e-6)
+            assert np.allclose(res.xi, ref.xi, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+    def test_optimum_solves_scatter_equations(self, s):
+        # zero gradient in M = Xi^{-2}:  (K n / 2) M^{-1} = sum_k w_k A_k with
+        # w_k = r s u_k^(s-1) - (q-1)/u_k, and the radial identity r sum u^s = K a
+        kernel = kotz_kernel(2.0, 0.8, 1.2, 5, 2)
+        batch = make_batch(40, 12, n=5, kernel=kernel)
+        res = fit_mle(batch, FitSpec(family="kotz", s=s), 5)
+        T, K, n = batch.matrices, batch.count, 5
+        A = T / res.beta + res.beta * np.linalg.inv(T) - 2.0 * np.eye(2)
+        M = np.linalg.inv(res.xi @ res.xi)
+        u = np.einsum("ij,kij->k", M, A)
+        w = res.r * s * u ** (s - 1.0) - (res.q - 1.0) / u
+        lhs = 0.5 * K * n * np.linalg.inv(M)
+        assert np.einsum("k,kij->ij", w, A) == pytest.approx(lhs, rel=1e-7)
+        a = (2.0 * res.q + n * 2 - 2.0) / (2.0 * s)
+        assert res.r * np.sum(u ** s) == pytest.approx(K * a, rel=1e-7)
+
+    @pytest.mark.parametrize("s,q", [(0.5, -3.9), (1.0, 1.0), (2.0, 8.0), (5.0, 30.0)])
+    def test_inner_solve_from_identity(self, s, q):
+        # the inner solve has no public entry: at fixed (beta, q), from M = I,
+        # it must reach the stationary point of the shape, a local maximum
+        from matrixbs import fit as fit_module
+
+        batch = make_batch(40, 12, n=5, kernel=kotz_kernel(2.0, 0.8, 1.2, 5, 2))
+        T, K, n, beta = batch.matrices, batch.count, 5, 80.0
+        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
+        value, theta, converged = profile.solve(beta, q, profile.theta_of(np.eye(2)))
+        assert converged
+        M = profile.matrix(theta)
+        A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(2)
+        u = np.einsum("ij,kij->k", M, A)
+        w = 0.5 * s * u ** (s - 1.0) - (q - 1.0) / u
+        assert np.einsum("k,kij->ij", w, A) == pytest.approx(0.5 * K * n * np.linalg.inv(M),
+                                                             rel=1e-9)
+        kernel = kotz_kernel(q, 0.5, s, n, 2)
+        assert value == pytest.approx(loglik(T, n, beta, _inv_sqrt(M), kernel), rel=1e-12)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            E = rng.normal(scale=1e-3, size=(2, 2))
+            for D in (E + E.T, -E - E.T):
+                assert loglik(T, n, beta, _inv_sqrt(M + D), kernel) < value
+
+    @pytest.mark.parametrize("s", sorted(POP_B_MULTISTART))
+    def test_at_least_multistart_paper_fixture(self, s):
+        # population B of the K = 20 benchmark's round 1 (Kotz q = 2, r = 1/2,
+        # s = 1.5), where a plain scatter fixed point stalls for s = 4 and 5
+        batch = read_batch(DATA / "paper_k20_round1_popB.csv")
+        res = fit_mle(batch, FitSpec(family="kotz", s=s), 6)
+        assert res.converged
+        assert res.loglik_max >= POP_B_MULTISTART[s] - 1e-8
+
+    def test_at_least_multistart_bulk_fixture(self):
+        batch = _bulk_batch()
+        profile = profile_s_grid(batch, sorted(BULK_MULTISTART), 8)
+        for row in profile.rows:
+            assert row.fit.converged
+            assert row.fit.loglik_max >= BULK_MULTISTART[row.s] - 1e-8
+
+    def test_degrees_equal_order_support_cap(self):
+        # n = m: the likelihood stays finite past the smallest eigenvalue, but
+        # both families stop at the branch support the sampler draws from
+        batch = make_batch(30, 4, n=2)
+        cap = (1.0 - 1e-6) * np.linalg.eigvalsh(batch.matrices).min()
+        gauss = fit_mle(batch, FitSpec(family="gaussian"), 2)
+        assert gauss.beta == pytest.approx(101.9457, abs=1e-4)
+        assert gauss.beta <= cap
+        kotz = fit_mle(batch, FitSpec(family="kotz", s=1.0), 2)
+        assert kotz.beta <= cap
+        assert kotz.loglik_max >= gauss.loglik_max - 1e-8
+
+
 class TestFitSpec:
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_kotz_power_positive_finite(self, s):
@@ -329,7 +445,7 @@ class TestProfileGrid:
     def test_table_layout(self):
         batch = make_batch(20, 11)
         profile = profile_s_grid(batch, (0.5, 1.0, 2.0), 6,
-                                 spec=FitSpec(restarts=3, seed=0))
+                                 spec=FitSpec(seed=0))
         assert profile.column_names() == (
             "s", "beta", "alpha11", "alpha12", "alpha22", "r", "q", "bic_diff")
         assert len(profile.rows) == 3
@@ -344,7 +460,7 @@ class TestProfileGrid:
         for seed in range(20):
             batch = make_batch(20, 900 + seed)
             profile = profile_s_grid(batch, (1.0,), 6,
-                                     spec=FitSpec(restarts=2, seed=seed))
+                                     spec=FitSpec(seed=seed))
             diffs.append(abs(profile.rows[0].bic_diff))
         assert np.median(diffs) < 10.0
 
@@ -354,7 +470,7 @@ class TestProfileGrid:
         for seed in range(20):
             batch = make_batch(20, 1000 + seed, kernel=kernel)
             profile = profile_s_grid(batch, (1.0,), 6,
-                                     spec=FitSpec(restarts=2, seed=seed))
+                                     spec=FitSpec(seed=seed))
             row = profile.rows[0]
             # positive difference means the Kotz row beats the baseline
             if (profile.baseline.bic_star - row.fit.bic_star) > 6.0:
@@ -364,9 +480,9 @@ class TestProfileGrid:
     def test_parallel_jobs_match_serial(self):
         batch = make_batch(14, 3)
         serial = profile_s_grid(batch, (0.75, 1.5), 6,
-                                spec=FitSpec(restarts=2, seed=5))
+                                spec=FitSpec(seed=5))
         parallel = profile_s_grid(batch, (0.75, 1.5), 6,
-                                  spec=FitSpec(restarts=2, seed=5), jobs=2)
+                                  spec=FitSpec(seed=5), jobs=2)
         for a, b in zip(serial.rows, parallel.rows):
             assert a.fit.loglik_max == pytest.approx(b.fit.loglik_max, abs=1e-12)
             assert a.bic_diff == pytest.approx(b.bic_diff, abs=1e-12)
