@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", help="comma-separated Kotz powers"
                                     " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)")
     p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
-    p.add_argument("--jobs", type=int, help="parallel workers for grid rows (default 1)")
+    p.add_argument("--jobs", type=_POSITIVE, help="parallel workers for grid rows, at most"
+                                                " one per row and per CPU (default 1)")
 
     p = sub.add_parser("validate", help="run the oracle cross-check suite")
     add_common(p)
@@ -230,7 +231,7 @@ def _cmd_fit(args) -> int:
     family = args.family or GAUSSIAN
     if family == KOTZ and args.s is None:
         raise UsageError("--s (fixed Kotz power) is required to fit the kotz family")
-    result = fit_mle(batch, _fit_spec(args, family, args.s or 1.0), args.n)
+    result = fit_mle(batch, _fit_spec(args, family, args.s), args.n)
     _emit(args, dataio.format_fit_text(result), dataio.fit_result_to_dict(result))
     return 0
 

@@ -34,7 +34,6 @@ from .linalg import as_matrix, check_spd, log_mv_gamma, sym_part
 from .transform import (
     GbsParams,
     branch_eigs,
-    jacobian_det_form,
     log_abs_gfactor,
     log_jacobian_sv,
 )
@@ -185,26 +184,17 @@ def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: fl
 
 
 def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
-             convention: Convention = Convention.BRANCH_NORMALIZED,
-             jacobian: str = "sv") -> float:
+             convention: Convention = Convention.BRANCH_NORMALIZED) -> float:
     """Log density of the rectangular factor V (n x m, full column rank).
 
-    jacobian: 'sv' uses the singular-value product form, 'det' the explicit
-    determinant assembly; the two agree to rounding.
+    The Jacobian is the singular-value product form; the explicit
+    determinant transform.jacobian_det_form is its test oracle.
     """
     V = as_matrix(V, "V")
     _check_kernel_dims(kernel, params.n, params.m)
     eigs = branch_eigs(V, params)
     _check_branch_support(eigs, convention, "V")
-
-    if jacobian == "sv":
-        log_j, _ = log_jacobian_sv(V, params, "first", check=False, eigs=eigs)
-    elif jacobian == "det":
-        det_val = abs(jacobian_det_form(V, params))
-        log_j = math.log(det_val) if det_val > 0.0 else -math.inf
-    else:
-        raise DomainError(f"jacobian must be 'sv' or 'det', got {jacobian!r}")
-
+    log_j, _ = log_jacobian_sv(V, params, "first", check=False, eigs=eigs)
     dinv = np.linalg.inv(params.delta)
     u = trace_argument(dinv @ (V.T @ V) @ dinv, params.xi)
     value = log_j + log_h(kernel, u)

@@ -26,9 +26,11 @@ form, M <- c M with c^s = K a / (r sum_k u_k^s), u_k = tr(M A_k) and
 a = (2q + nm - 2) / (2s), then takes a safeguarded Newton step on the
 upper triangle of M.  A Nelder-Mead search over (logit beta/beta_max,
 ln(q - (2 - nm)/2)) maximises this profile from the better of the moment
-guess and the Gaussian optimum, both at q = 1, and warm-starts each inner
-solve from the previous one.  Both fits are deterministic: the seed is
-only recorded.
+guess and the Gaussian optimum, both at q = 1, and starts each inner
+solve from the shape of the previous one; a search that ends below
+beta_max / 1e6, in the flat tail, is not converged.  profile_s_grid
+computes the moment guess and the Gaussian optimum once and shares them
+with every power.  Both fits are deterministic: the seed is only recorded.
 
 Model comparison uses the modified criterion
 
@@ -43,10 +45,12 @@ Weak / Positive / Strong / VeryStrong at thresholds 2, 6 and 10.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -66,7 +70,8 @@ DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 # beta stays below this fraction of the smallest observed eigenvalue so the
 # branch-region logarithms stay defined.
 BETA_MARGIN = 1.0 - 1e-6
-# the Gaussian profile search covers beta in [beta_max / BETA_RANGE, beta_max]
+# the Gaussian profile search covers beta in [beta_max / BETA_RANGE, beta_max];
+# below it the likelihood is flat, so a Kotz fit ending there is not converged
 BETA_RANGE = 1e6
 # Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
 # and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
@@ -74,6 +79,8 @@ KOTZ_R = 0.5
 # Newton steps per Kotz profile point, and the Newton decrement that ends them
 INNER_STEPS = 50
 INNER_TOL = 1e-10
+# the Kotz search stops when its simplex values agree to this, relative
+REL_FTOL = 1e-10
 # the Kotz search caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
 # terms of a K = 20 likelihood reach 1e15, and their rounding exceeds 0.1
 LOG_Q_CAP = 30.0
@@ -102,6 +109,7 @@ class _Prepared:
         self.lam = np.ascontiguousarray(lam.T).T
         self.sum_log_lam = float(np.sum(np.log(lam)))
         self.min_lam = float(lam.min())
+        self.beta_max = BETA_MARGIN * self.min_lam
         # T and T^{-1} as (2, K, m*m): both traces are one matrix-vector product
         self.flat = np.stack([T, np.linalg.inv(T)]).reshape(2, self.K, -1)
 
@@ -158,8 +166,6 @@ def outside_support(data, beta: float) -> list[int]:
 class InitialGuess:
     beta0: float
     xi0: np.ndarray
-    r0: float = 0.5
-    q0: float = 1.0
 
 
 def init_guess(data, n: int) -> InitialGuess:
@@ -209,10 +215,8 @@ class FitSpec:
     family: str = GAUSSIAN
     s: float = 1.0                      # fixed Kotz power; ignored for Gaussian
     max_iter: int = 5000
-    rel_ftol: float = 1e-10
     seed: int = 0                       # recorded only: both fits are deterministic
     convention: Convention = Convention.AS_PUBLISHED
-    warm_start: dict | None = None      # Kotz: a Gaussian optimum {"beta":, "xi":}
 
     def __post_init__(self):
         if self.family not in (GAUSSIAN, KOTZ):
@@ -245,11 +249,6 @@ class FitResult:
     convention: Convention = Convention.AS_PUBLISHED
     n_support_violations: int = 0
 
-    def kernel(self) -> KernelSpec:
-        if self.family == GAUSSIAN:
-            return gaussian_kernel(self.n, self.m)
-        return kotz_kernel(self.q, self.r, self.s, self.n, self.m)
-
 
 def bic_star(loglik_max: float, n_p: int, K: int) -> float:
     """Modified information criterion -2 loglik + n_p (ln(K+2) - ln 24)."""
@@ -278,9 +277,27 @@ def evidence_grade(diff: float) -> EvidenceGrade:
     return EvidenceGrade.VERY_STRONG
 
 
-def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int, beta_max: float):
+def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
+            converged: bool, iterations: int, q: float | None = None) -> FitResult:
+    """The FitResult of spec's family at (beta, xi), and for Kotz (KOTZ_R, q)."""
+    K, m = prep.K, prep.m
+    kotz = spec.family == KOTZ
+    kernel = kotz_kernel(q, KOTZ_R, spec.s, n, m) if kotz else gaussian_kernel(n, m)
+    value = float(_loglik_prepared(prep, n, beta, xi, kernel, spec.convention))
+    n_p = 1 + m * (m + 1) // 2 + (2 if kotz else 0)
+    return FitResult(
+        family=spec.family, s=spec.s if kotz else None,
+        beta=beta, xi=xi, r=KOTZ_R if kotz else None, q=q,
+        loglik_max=value, n_params=n_p, bic_star=bic_star(value, n_p, K),
+        converged=converged, iterations=iterations,
+        seed=spec.seed, n=n, m=m, K=K, convention=spec.convention,
+        n_support_violations=int(np.count_nonzero(prep.lam[:, 0] <= beta)),
+    )
+
+
+def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
     """Profile-likelihood search: the closed-form shape at each beta, Brent's
-    bounded method in log beta.  Returns (beta, xi, converged, evaluations)."""
+    bounded method in log beta; iterations counts likelihood evaluations."""
     from scipy.optimize import minimize_scalar
 
     K, m = prep.K, prep.m
@@ -297,12 +314,12 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int, beta_max: float):
         value = _loglik_prepared(prep, n, beta, shape(beta), kernel)
         return -value if math.isfinite(value) else math.inf
 
-    top = math.log(beta_max)
+    top = math.log(prep.beta_max)
     res = minimize_scalar(objective, bounds=(top - math.log(BETA_RANGE), top),
                           method="bounded",
                           options={"xatol": 1e-10, "maxiter": spec.max_iter})
     beta = math.exp(res.x)
-    return beta, shape(beta), bool(res.success), int(res.nfev)
+    return _result(prep, spec, n, beta, shape(beta), bool(res.success), int(res.nfev))
 
 
 class _KotzProfile:
@@ -401,13 +418,14 @@ class _KotzProfile:
         return theta, False
 
 
-def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
-              beta_max: float):
-    """Profile search over (beta, q) with r pinned at KOTZ_R.  Returns
-    (beta, xi, r, q, converged, profile evaluations)."""
+def _fit_kotz(prep: _Prepared, spec: FitSpec, n: int, guess: InitialGuess,
+              gauss: FitResult) -> FitResult:
+    """Profile search over (beta, q) with r pinned at KOTZ_R, from the moment
+    guess and the Gaussian optimum; iterations counts profile evaluations."""
     from scipy.optimize import minimize
 
     q_floor = (2.0 - n * prep.m) / 2.0
+    beta_max = prep.beta_max
     profile = _KotzProfile(prep, n, spec.s)
 
     def pack(beta, q):
@@ -418,14 +436,9 @@ def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
         return float(beta_max * expit(x[0])), q_floor + math.exp(min(x[1], LOG_Q_CAP))
 
     # two starts at q = 1: the moment guess and the Gaussian optimum
-    guess = init_guess(mats, n)
-    if spec.warm_start is not None:
-        beta_g = float(spec.warm_start["beta"])
-        xi_g = check_spd(spec.warm_start["xi"], "warm start xi")
-    else:
-        beta_g, xi_g, _, _ = _fit_gaussian(prep, spec, n, beta_max)
     starts = []
-    for beta0, xi0 in ((min(guess.beta0, 0.9 * beta_max), guess.xi0), (beta_g, xi_g)):
+    for beta0, xi0 in ((min(guess.beta0, 0.9 * beta_max), guess.xi0),
+                       (gauss.beta, gauss.xi)):
         x0 = pack(beta0, 1.0)
         value, theta, _ = profile.solve(*unpack(x0), profile.theta_of(xi0))
         starts.append((value, x0, theta))
@@ -439,7 +452,7 @@ def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
         last[0] = theta
         return -value
 
-    fatol = spec.rel_ftol * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
+    fatol = REL_FTOL * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxiter": spec.max_iter, "maxfev": 2 * spec.max_iter,
                             "fatol": fatol, "xatol": 1e-8})
@@ -447,10 +460,12 @@ def _fit_kotz(mats: np.ndarray, prep: _Prepared, spec: FitSpec, n: int,
     _, theta, inner_converged = profile.solve(beta, q, last[0])
     w, P = np.linalg.eigh(profile.matrix(theta))
     xi = sym_part((P / np.sqrt(w)) @ P.T)
-    # at the cap on q the likelihood still rose: the maximum was not reached
-    converged = bool(res.success and inner_converged and res.x[1] < LOG_Q_CAP)
+    # at the cap on q the likelihood still rose, and below BETA_RANGE it is
+    # flat: either way the maximum was not reached
+    converged = bool(res.success and inner_converged and res.x[1] < LOG_Q_CAP
+                     and beta >= beta_max / BETA_RANGE)
     # profile evaluations: the starts, the search and the final solve
-    return beta, xi, KOTZ_R, q, converged, len(starts) + int(res.nfev) + 1
+    return _result(prep, spec, n, beta, xi, converged, len(starts) + int(res.nfev) + 1, q)
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
@@ -464,29 +479,12 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     """
     mats = _as_stack(data)
     prep = _Prepared(mats)
-    K, m = prep.K, prep.m
-    if K < 2:
+    if prep.K < 2:
         raise DomainError("fitting needs at least two observations")
-    kotz = spec.family == KOTZ
-    beta_max = BETA_MARGIN * prep.min_lam
-    if kotz:
-        beta, xi, r, q, converged, iterations = _fit_kotz(mats, prep, spec, n, beta_max)
-        kernel = kotz_kernel(q, r, spec.s, n, m)
-    else:
-        beta, xi, converged, iterations = _fit_gaussian(prep, spec, n, beta_max)
-        r = q = None
-        kernel = gaussian_kernel(n, m)
-    value = _loglik_prepared(prep, n, beta, xi, kernel, spec.convention)
-    n_p = 1 + m * (m + 1) // 2 + (2 if kotz else 0)
-    return FitResult(
-        family=spec.family, s=spec.s if kotz else None,
-        beta=beta, xi=xi, r=r, q=q,
-        loglik_max=float(value), n_params=n_p,
-        bic_star=bic_star(float(value), n_p, K),
-        converged=converged, iterations=iterations,
-        seed=spec.seed, n=n, m=m, K=K, convention=spec.convention,
-        n_support_violations=int(np.count_nonzero(prep.lam[:, 0] <= beta)),
-    )
+    gauss = _fit_gaussian(prep, replace(spec, family=GAUSSIAN), n)
+    if spec.family == KOTZ:
+        return _fit_kotz(prep, spec, n, init_guess(mats, n), gauss)
+    return gauss
 
 
 @dataclass
@@ -515,43 +513,36 @@ class ProfileResult:
         return [row.s, row.fit.beta, *upper, row.fit.r, row.fit.q, row.bic_diff]
 
 
-def _fit_row(mats, n, s, base_spec: FitSpec, warm: dict) -> FitResult:
-    spec = FitSpec(family=KOTZ, s=s, max_iter=base_spec.max_iter,
-                   rel_ftol=base_spec.rel_ftol, seed=base_spec.seed,
-                   convention=base_spec.convention, warm_start=warm)
-    return fit_mle(mats, spec, n)
-
-
 def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
                    spec: FitSpec | None = None, jobs: int = 1) -> ProfileResult:
     """Fit the Gaussian baseline once, then one Kotz model per fixed s.
 
-    Each Kotz search starts from the better of the moment guess and the
-    Gaussian optimum, both at q = 1.  Rows that hit the iteration budget are
-    kept with their converged flag down; the table is always emitted in
-    full.  jobs > 1 fits the rows in that many worker processes.
+    The data are prepared, and the moment guess and the Gaussian optimum
+    computed, once; every Kotz search starts from the better of the two,
+    both at q = 1.  Rows that hit the iteration budget are kept with their
+    converged flag down; the table is always emitted in full.  jobs > 1
+    fits the rows in up to that many worker processes, never more than
+    there are rows or CPUs.
     """
     mats = _as_stack(data)
     s_values = [float(s) for s in s_values]
     if not all(0.0 < s < math.inf for s in s_values):
         raise DomainError("all grid powers must be positive and finite")
     base = spec if spec is not None else FitSpec()
-    gauss = fit_mle(mats, FitSpec(family=GAUSSIAN, max_iter=base.max_iter,
-                                  seed=base.seed, convention=base.convention), n)
-    warm = {"beta": gauss.beta, "xi": gauss.xi}
-    tasks = [(mats, n, s, base, warm) for s in s_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fits = list(pool.map(_fit_row_star, tasks))
+    prep = _Prepared(mats)
+    guess = init_guess(mats, n)  # raises for fewer than two observations
+    gauss = _fit_gaussian(prep, replace(base, family=GAUSSIAN), n)
+    row = functools.partial(_fit_kotz, prep, n=n, guess=guess, gauss=gauss)
+    specs = [replace(base, family=KOTZ, s=s) for s in s_values]
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            fits = list(pool.map(row, specs))
     else:
-        fits = [_fit_row(*t) for t in tasks]
+        fits = list(map(row, specs))
     rows = []
     for s, fit in zip(s_values, fits):
         diff = fit.bic_star - gauss.bic_star
         rows.append(ProfileRow(s=s, fit=fit, bic_diff=diff,
                                grade=evidence_grade(abs(diff))))
     return ProfileResult(baseline=gauss, rows=rows)
-
-
-def _fit_row_star(args):
-    return _fit_row(*args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class KernelSpec:
     @property
     def nm(self) -> int:
         return self.n * self.m
-
-    def with_dims(self, n: int, m: int) -> "KernelSpec":
-        """Same family and shape parameters, re-normalised for new ambient dims."""
-        return replace(self, n=n, m=m)
 
     def gamma_shape(self) -> float:
         """Shape of the Gamma radial transform W = r (tr Z'Z)^s."""

@@ -1,14 +1,13 @@
 """Dense matrix kernels and special functions used throughout the package.
 
 Everything here is a thin, deterministic layer over LAPACK (via numpy)
-with fixed sign conventions and explicit rank/symmetry gates, so that
-downstream branch inversions and golden tests are reproducible.
+with explicit rank/symmetry gates, so that downstream branch inversions
+and golden tests are reproducible.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,7 +25,6 @@ RANK_TOL = 1e-12
 SYM_TOL = 1e-12
 
 __all__ = [
-    "SvdFactors",
     "as_matrix",
     "check_spd",
     "commutation",
@@ -34,8 +32,6 @@ __all__ = [
     "log_mv_gamma",
     "pinv",
     "spd_sqrt",
-    "svd_thin",
-    "sym_eig",
     "sym_part",
     "vec",
 ]
@@ -57,9 +53,12 @@ def sym_part(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _check_symmetric(S, name: str, tol: float = SYM_TOL, spd: bool = False) -> np.ndarray:
-    """Symmetrised copy of a symmetric (with spd, positive definite) matrix or
-    (K, m, m) stack; an error about matrix k of a stack names it name[k]."""
+def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
+    """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
+
+    For a stack, the error names the first failing matrix as name[k] and
+    carries its index as ``row``.
+    """
     S = np.asarray(S, dtype=float)
     stack = S.ndim == 3
     if not stack:
@@ -81,78 +80,17 @@ def _check_symmetric(S, name: str, tol: float = SYM_TOL, spd: bool = False) -> n
     if asym.any():
         fail(NotSymmetricError, asym, f"is not symmetric within {tol:g} relative")
     S = 0.5 * (S + St)
-    if spd:
-        w_min = np.linalg.eigvalsh(S)[:, 0]
-        if (w_min <= 0.0).any():
-            fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
+    w_min = np.linalg.eigvalsh(S)[:, 0]
+    if (w_min <= 0.0).any():
+        fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
     return S if stack else S[0]
-
-
-def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
-    """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
-
-    For a stack, the error names the first failing matrix as name[k] and
-    carries its index as ``row``.
-    """
-    return _check_symmetric(S, name, tol, spd=True)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD A = left @ diag(singulars) @ right.T with fixed column signs."""
-
-    left: np.ndarray       # (n, m), orthonormal columns
-    singulars: np.ndarray  # (m,), descending, >= 0
-    right: np.ndarray      # (m, m), orthogonal
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singulars) @ self.right.T
-
-
-def _signed_thin_svd(A: np.ndarray):
-    """Thin SVD with the largest-magnitude entry of each left column positive.
-
-    No rank gate; used internally where zero singular values are legitimate.
-    """
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    for j in range(U.shape[1]):
-        k = int(np.argmax(np.abs(U[:, j])))
-        if U[k, j] < 0.0:
-            U[:, j] = -U[:, j]
-            Vt[j, :] = -Vt[j, :]
-    return U, s, Vt.T
-
-
-def svd_thin(A) -> SvdFactors:
-    """Thin SVD of a full-column-rank n x m matrix (n >= m)."""
-    A = as_matrix(A, "A")
-    n, m = A.shape
-    if n < m:
-        raise DomainError(f"need n >= m, got shape {A.shape}")
-    U, s, V = _signed_thin_svd(A)
-    if s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficientError(
-            f"smallest singular value {s[-1]:g} below {RANK_TOL:g} of largest {s[0]:g}"
-        )
-    return SvdFactors(left=U, singulars=s, right=V)
-
-
-def sym_eig(S, tol: float = SYM_TOL):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns (values, vectors) with S = vectors @ diag(values) @ vectors.T.
-    """
-    S = _check_symmetric(S, "S", tol)
-    w, V = np.linalg.eigh(S)
-    return w[::-1].copy(), V[:, ::-1].copy()
 
 
 def spd_sqrt(B) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix."""
-    B = _check_symmetric(B, "B")
-    w, V = sym_eig(B)
-    if w[-1] <= 0.0:
-        raise NotSpdError(f"matrix has non-positive eigenvalue {w[-1]:g}")
+    w, V = np.linalg.eigh(check_spd(B, "B"))
+    # descending order: the product below rounds differently in ascending order
+    w, V = w[::-1].copy(), V[:, ::-1].copy()
     return sym_part((V * np.sqrt(w)) @ V.T)
 
 

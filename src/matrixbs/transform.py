@@ -34,7 +34,6 @@ from .linalg import (
     spd_sqrt,
     sym_part,
     vec,
-    _signed_thin_svd,
 )
 
 # Relative gap below which singular values count as tied.
@@ -131,14 +130,14 @@ def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.nda
         stacked = np.zeros((n, m))
         stacked[:m, :m] = np.eye(m)
         return stacked @ params.delta
-    H1, d, Q = _signed_thin_svd(Z @ params.xi)
+    H1, d, Qt = np.linalg.svd(Z @ params.xi, full_matrices=False)
     if tie_tol > 0.0 and m > 1:
         gaps = d[:-1] - d[1:]
         if gaps.min() < tie_tol * max(d[0], 1.0):
             raise DegenerateEigenvaluesError(
                 f"tied singular values (gap {gaps.min():g}) admit no unique inverse")
     ell = 0.5 * (d + np.sqrt(d * d + 4.0))
-    return (H1 * ell) @ Q.T @ params.delta
+    return (H1 * ell) @ Qt @ params.delta
 
 
 def branch_eigs(V, params: GbsParams) -> np.ndarray:

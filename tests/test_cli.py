@@ -211,7 +211,10 @@ class TestConfig:
         ("sample", "--n", "0", "--m", "2", "--count", "3", "--seed", "1"),
         ("fit", "--family", "kotz", "--s", "1", "--n", "6", "--seed", "-1"),
         ("validate", "--seed", "-1"),
-    ], ids=["sample-seed", "sample-m", "sample-count", "sample-n", "fit-seed", "validate-seed"])
+        ("compare", "--n", "6", "--jobs", "0"),
+        ("compare", "--n", "6", "--jobs", "-1"),
+    ], ids=["sample-seed", "sample-m", "sample-count", "sample-n", "fit-seed", "validate-seed",
+            "compare-jobs-zero", "compare-jobs-negative"])
     def test_out_of_range_integers_exit_two(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(tmp_path / "x.csv"))
@@ -223,6 +226,7 @@ class TestConfig:
         ("compare", "--s-grid", "inf"),
         ("fit", "--family", "kotz", "--s", "nan"),
         ("fit", "--family", "kotz", "--s", "inf"),
+        ("fit", "--family", "kotz", "--s", "0"),
         ("fit", "--max-iter", "0"),
     ])
     def test_bad_search_settings_exit_two(self, argv, pop_csv, capsys):

@@ -26,8 +26,8 @@ from matrixbs.errors import (
     SingularMatrixError,
 )
 from matrixbs.fit import loglik
-from matrixbs.kernels import gaussian_kernel, kotz_kernel
-from matrixbs.transform import GbsParams
+from matrixbs.kernels import gaussian_kernel, kotz_kernel, log_h
+from matrixbs.transform import GbsParams, jacobian_det_form
 
 from conftest import rand_spd
 
@@ -123,6 +123,14 @@ class TestElementwise:
             ElementwiseParams(alpha=np.array([[0.0]]), beta=np.ones((1, 1)))
 
 
+def _logpdf_V_det(V, p, kern):
+    """As-published log V-density with the explicit determinant Jacobian."""
+    det = abs(jacobian_det_form(V, p))
+    dinv = np.linalg.inv(p.delta)
+    log_j = math.log(det) if det > 0.0 else -math.inf
+    return log_j + log_h(kern, trace_argument(dinv @ (V.T @ V) @ dinv, p.xi))
+
+
 class TestVDensity:
     def test_scalar_assembly(self):
         p = GbsParams(n=1, xi=np.eye(1), beta=np.eye(1))
@@ -137,8 +145,8 @@ class TestVDensity:
             p = GbsParams(n=n, xi=rand_spd(m, rng), beta=rand_spd(m, rng))
             V = rng.normal(size=(n, m)) * rng.uniform(0.5, 2.0)
             kern = gaussian_kernel(n, m)
-            a = logpdf_V(V, p, kern, AP, jacobian="sv")
-            b = logpdf_V(V, p, kern, AP, jacobian="det")
+            a = logpdf_V(V, p, kern, AP)
+            b = _logpdf_V_det(V, p, kern)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_sv_route_one_spectrum_matches_det(self, rng, monkeypatch):
@@ -159,9 +167,9 @@ class TestVDensity:
             V = rng.normal(size=(n, m)) * rng.uniform(0.5, 2.0)
             kern = kotz_kernel(1.4, 0.6, 1.2, n, m)
             calls.clear()
-            a = logpdf_V(V, p, kern, AP, jacobian="sv")
+            a = logpdf_V(V, p, kern, AP)
             assert len(calls) == 1
-            b = logpdf_V(V, p, kern, AP, jacobian="det")
+            b = _logpdf_V_det(V, p, kern)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_scalar_case_equals_sqrt_law(self):

@@ -131,25 +131,21 @@ class TestFitMle:
     def test_refit_from_optimum_is_stable(self):
         batch = make_batch(40, 55)
         res = fit_mle(batch, FitSpec(family="gaussian", seed=2), 6)
-        warm = {"beta": res.beta, "xi": res.xi}
-        res2 = fit_mle(batch, FitSpec(family="gaussian", seed=3, warm_start=warm), 6)
+        res2 = fit_mle(batch, FitSpec(family="gaussian", seed=3), 6)
         assert abs(res2.loglik_max - res.loglik_max) < 1e-6
 
     def test_kotz_nests_gaussian(self):
         batch = make_batch(20, 7)
         g = fit_mle(batch, FitSpec(family="gaussian", seed=0), 6)
-        k = fit_mle(batch, FitSpec(family="kotz", s=1.0, seed=0,
-                                   warm_start={"beta": g.beta, "xi": g.xi,
-                                               "r": 0.5, "q": 1.0}), 6)
+        k = fit_mle(batch, FitSpec(family="kotz", s=1.0, seed=0), 6)
         assert k.loglik_max >= g.loglik_max - 1e-6
         assert k.n_params == 6
 
     def test_gaussian_ignores_kotz_search_options(self):
         batch = make_batch(20, 7)
         ref = fit_mle(batch, FitSpec(family="gaussian"), 6)
-        warm = {"beta": 0.5 * ref.beta, "xi": 2.0 * ref.xi}
         for seed in range(5):
-            for extra in ({}, {"warm_start": warm}):
+            for extra in ({}, {"s": 2.5}):
                 res = fit_mle(batch, FitSpec(family="gaussian", seed=seed, **extra), 6)
                 assert res.beta == ref.beta
                 assert np.array_equal(res.xi, ref.xi)
@@ -168,9 +164,7 @@ class TestFitMle:
         results = {}
         for conv in (Convention.AS_PUBLISHED, Convention.BRANCH_NORMALIZED):
             g = fit_mle(batch, FitSpec(family="gaussian", seed=4, convention=conv), 6)
-            k = fit_mle(batch, FitSpec(family="kotz", s=1.0, seed=4, convention=conv,
-                                       warm_start={"beta": g.beta, "xi": g.xi,
-                                                   "r": 0.5, "q": 1.0}), 6)
+            k = fit_mle(batch, FitSpec(family="kotz", s=1.0, seed=4, convention=conv), 6)
             results[conv] = (g, k)
         g_a, k_a = results[Convention.AS_PUBLISHED]
         g_b, k_b = results[Convention.BRANCH_NORMALIZED]
@@ -377,6 +371,18 @@ class TestKotzProfile:
         assert kotz.beta <= cap
         assert kotz.loglik_max >= gauss.loglik_max - 1e-8
 
+    def test_flat_tail_not_converged(self):
+        # m = 1 with q < 1 allowed: the search drifts to beta -> 0, where the
+        # likelihood is flat, and stops far below the Gaussian optimum
+        batch = sample_batch(GbsParams(n=2, xi=[[3.2]], beta=[[0.35]]),
+                             kotz_kernel(0.3, 0.13, 2.5, 2, 1), 20, 1004)
+        gauss = fit_mle(batch, FitSpec(family="gaussian"), 2)
+        kotz = fit_mle(batch, FitSpec(family="kotz", s=3.0), 2)
+        beta_max = (1.0 - 1e-6) * batch.matrices.min()
+        assert kotz.beta < beta_max / 1e6
+        assert kotz.loglik_max < gauss.loglik_max
+        assert not kotz.converged
+
 
 class TestFitSpec:
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -484,8 +490,61 @@ class TestProfileGrid:
         parallel = profile_s_grid(batch, (0.75, 1.5), 6,
                                   spec=FitSpec(seed=5), jobs=2)
         for a, b in zip(serial.rows, parallel.rows):
-            assert a.fit.loglik_max == pytest.approx(b.fit.loglik_max, abs=1e-12)
-            assert a.bic_diff == pytest.approx(b.bic_diff, abs=1e-12)
+            assert a.fit.loglik_max == b.fit.loglik_max
+            assert a.bic_diff == b.bic_diff
+            assert np.array_equal(a.fit.xi, b.fit.xi)
+
+    def test_workers_capped_by_rows_and_cpus(self, monkeypatch):
+        from matrixbs import fit as fit_module
+
+        started = []
+
+        class InlinePool:
+            """Stands in for the process pool without starting a process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(fit_module, "ProcessPoolExecutor", InlinePool)
+        batch = make_batch(14, 3)
+        grid = (0.75, 1.0, 1.5)
+        serial = [row.fit.loglik_max for row in profile_s_grid(batch, grid, 6).rows]
+        for cpus, jobs, workers in ((4, 1000, [3]), (4, 2, [2]), (2, 1000, [2]), (4, 1, [])):
+            monkeypatch.setattr(fit_module.os, "cpu_count", lambda: cpus)
+            started.clear()
+            profile = profile_s_grid(batch, grid, 6, jobs=jobs)
+            assert started == workers
+            assert [row.fit.loglik_max for row in profile.rows] == serial
+
+    @pytest.mark.parametrize("grid", [(1.0,), (0.5, 1.0, 2.0, 4.0)])
+    def test_dataset_prepared_once(self, grid, monkeypatch):
+        # the rows share one prepared dataset, moment guess and Gaussian fit
+        from matrixbs import fit as fit_module
+
+        counts = {}
+
+        def counted(name):
+            original = getattr(fit_module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(fit_module, name, wrapper)
+
+        for name in ("_Prepared", "init_guess", "_fit_gaussian"):
+            counted(name)
+        profile = profile_s_grid(make_batch(20, 11), grid, 6)
+        assert len(profile.rows) == len(grid)
+        assert counts == {"_Prepared": 1, "init_guess": 1, "_fit_gaussian": 1}
 
     def test_bad_grid(self):
         batch = make_batch(5, 1)

@@ -10,76 +10,10 @@ from matrixbs.linalg import (
     log_mv_gamma,
     pinv,
     spd_sqrt,
-    svd_thin,
-    sym_eig,
     vec,
 )
 
 from conftest import rand_spd
-
-
-class TestSvdThin:
-    def test_identity(self):
-        f = svd_thin(np.eye(2))
-        assert np.allclose(f.left, np.eye(2))
-        assert np.allclose(f.singulars, [1.0, 1.0])
-        assert np.allclose(f.right, np.eye(2))
-
-    def test_tall_diagonal(self):
-        A = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        f = svd_thin(A)
-        assert np.allclose(f.singulars, [3.0, 1.0])
-        assert np.allclose(f.reconstruct(), A)
-
-    def test_reconstruction_and_eigensolver_oracle(self, rng):
-        # singular values must match sqrt of eigenvalues of A'A from an
-        # independent symmetric eigensolver
-        A = rng.normal(size=(4, 2))
-        f = svd_thin(A)
-        assert np.abs(f.reconstruct() - A).max() < 1e-10
-        w = np.sort(np.linalg.eigvalsh(A.T @ A))[::-1]
-        assert np.allclose(f.singulars, np.sqrt(w), rtol=1e-10)
-        assert np.allclose(f.left.T @ f.left, np.eye(2), atol=1e-12)
-        assert np.allclose(f.right.T @ f.right, np.eye(2), atol=1e-12)
-
-    def test_sign_convention(self, rng):
-        A = rng.normal(size=(5, 3))
-        f = svd_thin(A)
-        for j in range(3):
-            k = int(np.argmax(np.abs(f.left[:, j])))
-            assert f.left[k, j] > 0.0
-
-    def test_rank_deficient(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(RankDeficientError):
-            svd_thin(A)
-
-    def test_wide_rejected(self):
-        with pytest.raises(DomainError):
-            svd_thin(np.ones((2, 3)))
-
-
-class TestSymEig:
-    def test_diagonal(self):
-        w, V = sym_eig(np.diag([4.0, 1.0]))
-        assert np.allclose(w, [4.0, 1.0])
-        assert np.allclose(V @ np.diag(w) @ V.T, np.diag([4.0, 1.0]))
-
-    def test_identity(self):
-        w, _ = sym_eig(np.eye(3))
-        assert np.allclose(w, 1.0)
-
-    def test_characteristic_polynomial_oracle(self, rng):
-        S = rand_spd(3, rng)
-        w, V = sym_eig(S)
-        for lam in w:
-            assert abs(np.linalg.det(S - lam * np.eye(3))) < 1e-8
-        assert np.abs(V @ np.diag(w) @ V.T - S).max() < 1e-12
-        assert w[0] >= w[1] >= w[2]
-
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetricError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestSpdSqrt:
@@ -105,6 +39,10 @@ class TestSpdSqrt:
     def test_not_spd(self):
         with pytest.raises(NotSpdError):
             spd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_not_symmetric(self):
+        with pytest.raises(NotSymmetricError):
+            spd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestPinv:

@@ -1,0 +1,69 @@
+"""Static checks on the package source, in place of a linter: every import
+is used, and every private module-level name is referenced somewhere in
+the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "matrixbs"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree):
+    """Names listed in the module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _read(tree):
+    """Identifiers a module reads: loaded names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_unused_imports(module):
+    tree = TREES[module]
+    used = _read(tree) | _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"line {node.lineno}: {bound}")
+    assert unused == []
+
+
+def test_private_module_names_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _read(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unreferenced = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{module}: {name}" for name in names
+                             if name.startswith("_") and not name.startswith("__")
+                             and name not in referenced]
+    assert unreferenced == []
