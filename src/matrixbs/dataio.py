@@ -41,10 +41,10 @@ def _infer_m(n_cols: int) -> int:
 def _batch_to_csv(batch: SampleBatch) -> str:
     pairs = _triangle_pairs(batch.m)
     header = ",".join(f"t{i + 1}{j + 1}" for i, j in pairs)
-    lines = [header]
-    for T in batch.matrices:
-        lines.append(",".join(f"{T[i, j]:.17g}" for i, j in pairs))
-    return "\n".join(lines) + "\n"
+    rows, cols = np.triu_indices(batch.m)  # row-major, the order of pairs
+    upper = batch.matrices[:, rows, cols].ravel().tolist()
+    line = ",".join(["%.17g"] * len(pairs))
+    return header + "\n" + "\n".join([line] * batch.count) % tuple(upper) + "\n"
 
 
 def _batch_from_csv(text: str) -> SampleBatch:
@@ -88,12 +88,20 @@ def _provenance_dict(batch: SampleBatch) -> dict | None:
 
 
 def _batch_to_json(batch: SampleBatch) -> str:
-    obj = {"m": batch.m, "count": batch.count,
-           "matrices": batch.matrices.tolist()}
+    """The text json.dumps(indent=2) gives, with the matrices block filled
+    from one template: with indent, json.dumps runs its pure-Python encoder."""
+    obj = {"m": batch.m, "count": batch.count, "matrices": []}
     prov = _provenance_dict(batch)
     if prov is not None:
         obj["provenance"] = prov
-    return json.dumps(obj, indent=2) + "\n"
+    row = "      [\n" + ",\n".join(["        %s"] * batch.m) + "\n      ]"
+    matrix = "    [\n" + ",\n".join([row] * batch.m) + "\n    ]"
+    values = batch.matrices.ravel().tolist()  # str(float) is JSON's float spelling
+    if not np.isfinite(batch.matrices).all():
+        values = [v if math.isfinite(v) else json.dumps(v) for v in values]
+    block = ",\n".join([matrix] * batch.count) % tuple(values)
+    return json.dumps(obj, indent=2).replace(
+        '"matrices": []', '"matrices": [\n' + block + "\n  ]", 1) + "\n"
 
 
 def _batch_from_json(text: str) -> SampleBatch:
@@ -103,21 +111,29 @@ def _batch_from_json(text: str) -> SampleBatch:
         raise DataFormatError(f"invalid JSON: {bad}")
     if isinstance(obj, list):
         obj = {"matrices": obj}
-    if "matrices" not in obj:
+    if not isinstance(obj, dict) or "matrices" not in obj:
         raise DataFormatError("JSON batch needs a 'matrices' array")
-    mats = np.asarray(obj["matrices"], dtype=float)
+    try:
+        mats = np.asarray(obj["matrices"], dtype=float)
+    except (TypeError, ValueError) as bad:
+        raise DataFormatError(f"matrices must be a K x m x m array of numbers: {bad}")
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DataFormatError(f"matrices must be a K x m x m array, got {mats.shape}")
     batch = SampleBatch(m=mats.shape[1], count=mats.shape[0], matrices=mats)
     prov = obj.get("provenance")
+    if prov is not None and not isinstance(prov, dict):
+        raise DataFormatError("provenance must be an object")
     if prov:
         batch.seed = prov.get("seed")
-        if "kernel" in prov and "n" in prov:
-            batch.kernel = kernel_from_json(prov["kernel"], int(prov["n"]), batch.m)
-        if {"n", "xi", "beta"} <= prov.keys():
-            batch.params = GbsParams(n=int(prov["n"]),
-                                     xi=np.asarray(prov["xi"], dtype=float),
-                                     beta=np.asarray(prov["beta"], dtype=float))
+        try:
+            if "kernel" in prov and "n" in prov:
+                batch.kernel = kernel_from_json(prov["kernel"], int(prov["n"]), batch.m)
+            if {"n", "xi", "beta"} <= prov.keys():
+                batch.params = GbsParams(n=int(prov["n"]),
+                                         xi=np.asarray(prov["xi"], dtype=float),
+                                         beta=np.asarray(prov["beta"], dtype=float))
+        except (TypeError, ValueError) as bad:
+            raise DataFormatError(f"malformed provenance: {bad}")
     return batch
 
 

@@ -106,21 +106,33 @@ def log_h(kernel: KernelSpec, u, total: bool = False):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def sample_symmetric(kernel: KernelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one n x m matrix from the zero-mean, identity-scale elliptical family.
+def sample_symmetric(kernel: KernelSpec, rng: np.random.Generator,
+                     count: int | None = None) -> np.ndarray:
+    """Draw n x m matrices from the zero-mean, identity-scale elliptical family.
 
-    Gaussian: i.i.d. standard normal entries.  Kotz: radius R with
-    r R^(2s) ~ Gamma(shape, rate 1) times a uniform direction on the unit
-    sphere in R^(nm).
+    Returns one (n, m) draw, or a (count, n, m) stack of count draws that
+    consumes rng exactly as count one-draw calls would, so a stack equals
+    those draws bit for bit.  Gaussian: i.i.d. standard normal entries.
+    Kotz: radius R with r R^(2s) ~ Gamma(shape, rate 1) times a uniform
+    direction on the unit sphere in R^(nm).
     """
     n, m = kernel.n, kernel.m
+    size = 1 if count is None else count
     if kernel.family == GAUSSIAN:
-        return rng.standard_normal((n, m))
-    w = rng.standard_gamma(kernel.gamma_shape())
-    radius = (w / kernel.r) ** (1.0 / (2.0 * kernel.s))
-    g = rng.standard_normal(n * m)
-    direction = g / np.linalg.norm(g)
-    return (radius * direction).reshape(n, m)
+        Z = rng.standard_normal((size, n, m))
+    else:
+        shape, r, power = kernel.gamma_shape(), kernel.r, 1.0 / (2.0 * kernel.s)
+        G = np.empty((size, n * m))
+        radius = np.empty((size, 1))
+        norm = np.empty((size, 1))
+        # one gamma then one normal vector per draw keeps the one-draw stream;
+        # Python's float ** and sqrt keep each draw's last bit as well
+        for k in range(size):
+            radius[k] = (rng.standard_gamma(shape) / r) ** power
+            G[k] = g = rng.standard_normal(n * m)
+            norm[k] = math.sqrt(g @ g)
+        Z = (radius * (G / norm)).reshape(size, n, m)
+    return Z[0] if count is None else Z
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:

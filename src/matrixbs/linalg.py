@@ -50,7 +50,8 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
 
 
 def sym_part(S: np.ndarray) -> np.ndarray:
-    return 0.5 * (S + S.T)
+    """Symmetric part of a square matrix or of each matrix in a (K, m, m) stack."""
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:

@@ -5,6 +5,11 @@ inverse of the matrix transformation, so every draw lands in the branch
 region (all eigenvalues of beta^{-1} T at least 1).  This is exactly the
 population described by the BRANCH_NORMALIZED density convention; the
 as-published constant describes the same shape at 2^{-m} of the mass.
+
+A batch of K draws is one computation on stacks: a (K, n, m) stack of Z
+from one kernel call, one batched branch inverse giving the (K, n, m)
+stack of V, and the (K, m, m) stack of T.  sample_V and sample_T are the
+same path at K = 1.
 """
 
 from __future__ import annotations
@@ -46,32 +51,41 @@ class SampleBatch:
         return self.count
 
 
-def sample_V(params: GbsParams, kernel: KernelSpec,
-             rng: np.random.Generator) -> np.ndarray:
-    """One draw of the rectangular factor V on the branch with singular
-    values of V Delta^{-1} at least 1."""
+def _draw_V(params: GbsParams, kernel: KernelSpec, rng: np.random.Generator,
+            count: int) -> np.ndarray:
+    """A (count, n, m) stack of branch draws V: one stacked kernel draw
+    mapped by one batched branch inverse."""
     if (kernel.n, kernel.m) != (params.n, params.m):
         raise DomainError(
             f"kernel dims ({kernel.n}, {kernel.m}) do not match params"
             f" ({params.n}, {params.m})")
-    Z = sample_symmetric(kernel, rng)
+    Z = sample_symmetric(kernel, rng, count)
     # exact singular-value ties have probability zero; skip the uniqueness gate
     return inverse_map_branch(Z, params, tie_tol=0.0)
 
 
+def sample_V(params: GbsParams, kernel: KernelSpec,
+             rng: np.random.Generator) -> np.ndarray:
+    """One (n, m) draw of the rectangular factor V on the branch with
+    singular values of V Delta^{-1} at least 1."""
+    return _draw_V(params, kernel, rng, 1)[0]
+
+
 def sample_T(params: GbsParams, kernel: KernelSpec,
              rng: np.random.Generator) -> np.ndarray:
-    """One SPD draw T = V'V with all eigenvalues of beta^{-1} T at least 1."""
-    V = sample_V(params, kernel, rng)
-    return sym_part(V.T @ V)
+    """One (m, m) SPD draw T = V'V with all eigenvalues of beta^{-1} T at least 1."""
+    return sample_batch(params, kernel, 1, rng).matrices[0]
 
 
 def sample_batch(params: GbsParams, kernel: KernelSpec, count: int,
                  rng: np.random.Generator | int) -> SampleBatch:
     """K independent draws of T, with provenance recorded for reproducibility.
 
-    Passing an integer uses it as the seed of a fresh generator and records
-    it in the batch; passing a generator records no seed.
+    The draws are computed as one (K, n, m) stack of V and its (K, m, m)
+    stack of T = V'V; they equal K successive sample_T calls on the same
+    generator bit for bit.  Passing an integer uses it as the seed of a
+    fresh generator and records it in the batch; passing a generator
+    records no seed.
     """
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
@@ -79,9 +93,7 @@ def sample_batch(params: GbsParams, kernel: KernelSpec, count: int,
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
-    m = params.m
-    mats = np.empty((count, m, m))
-    for k in range(count):
-        mats[k] = sample_T(params, kernel, rng)
-    return SampleBatch(m=m, count=count, matrices=mats,
+    V = _draw_V(params, kernel, rng, count)
+    return SampleBatch(m=params.m, count=count,
+                       matrices=sym_part(np.swapaxes(V, 1, 2) @ V),
                        params=params, kernel=kernel, seed=seed)

@@ -117,27 +117,40 @@ def forward_map(V, params: GbsParams) -> np.ndarray:
 def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.ndarray:
     """Right inverse of forward_map on the branch with singular values >= 1.
 
+    Z is one (n, m) matrix, giving one (n, m) V, or a (K, n, m) stack,
+    giving a (K, n, m) stack mapped slice by slice in one batched SVD.
     Factors Y = Z Xi as H1 diag(d) Q' and maps each singular value through
     l = (d + sqrt(d^2 + 4)) / 2 >= 1, returning V = H1 diag(l) Q' Delta.
     Z = 0 returns the canonical fixed point [I_m; 0] Delta.  Tied singular
-    values of Z Xi are rejected (pass tie_tol=0 to disable the gate).
+    values of Z Xi are rejected (pass tie_tol=0 to disable the gate); for a
+    stack the error carries the index of the first tied slice as ``row``.
     """
-    Z = as_matrix(Z, "Z")
-    n, m = Z.shape
+    Z = np.asarray(Z, dtype=float)
+    stack = Z.ndim == 3
+    if stack:
+        if not np.isfinite(Z).all():
+            raise DomainError("Z contains non-finite entries")
+    else:
+        Z = as_matrix(Z, "Z")[None]
+    n, m = Z.shape[1:]
     if (n, m) != (params.n, params.m):
-        raise DomainError(f"Z has shape {Z.shape}, params expect ({params.n}, {params.m})")
-    if not Z.any():
-        stacked = np.zeros((n, m))
-        stacked[:m, :m] = np.eye(m)
-        return stacked @ params.delta
+        raise DomainError(f"Z has shape {Z.shape[1:]}, params expect ({params.n}, {params.m})")
+    zero = ~Z.any(axis=(1, 2))
     H1, d, Qt = np.linalg.svd(Z @ params.xi, full_matrices=False)
     if tie_tol > 0.0 and m > 1:
-        gaps = d[:-1] - d[1:]
-        if gaps.min() < tie_tol * max(d[0], 1.0):
+        gaps = (d[:, :-1] - d[:, 1:]).min(axis=1)
+        tied = (gaps < tie_tol * np.maximum(d[:, 0], 1.0)) & ~zero
+        if tied.any():
+            k = int(np.argmax(tied))
+            where = f"Z[{k}] has tied" if stack else "tied"
             raise DegenerateEigenvaluesError(
-                f"tied singular values (gap {gaps.min():g}) admit no unique inverse")
+                f"{where} singular values (gap {gaps[k]:g}) admit no unique inverse",
+                row=k if stack else None)
     ell = 0.5 * (d + np.sqrt(d * d + 4.0))
-    return (H1 * ell) @ Qt @ params.delta
+    V = (H1 * ell[:, None, :]) @ Qt @ params.delta
+    if zero.any():
+        V[zero] = np.eye(n, m) @ params.delta
+    return V if stack else V[0]
 
 
 def branch_eigs(V, params: GbsParams) -> np.ndarray:

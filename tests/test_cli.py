@@ -10,8 +10,8 @@ import pytest
 from matrixbs.cli import main
 from matrixbs.dataio import read_batch, write_batch
 from matrixbs.errors import DataFormatError
-from matrixbs.kernels import gaussian_kernel
-from matrixbs.sampling import sample_batch
+from matrixbs.kernels import gaussian_kernel, kotz_kernel
+from matrixbs.sampling import SampleBatch, sample_batch
 from matrixbs.transform import GbsParams
 
 
@@ -80,6 +80,44 @@ class TestDataIo:
         path.write_text("t11,t12\n1,2\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             read_batch(path)
+
+    @pytest.mark.parametrize("finite", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_writers_byte_identical_to_reference_formatting(self, m, finite, tmp_path):
+        params = GbsParams(n=5, xi=np.eye(m), beta=2.0)
+        batch = sample_batch(params, kotz_kernel(2.0, 0.5, 1.5, 5, m), 7, 4)
+        if not finite:
+            mats = batch.matrices.copy()
+            mats[0, 0, 0], mats[1, -1, -1], mats[2, 0, -1] = np.nan, np.inf, -0.0
+            batch = SampleBatch(m=m, count=7, matrices=mats)
+        obj = {"m": m, "count": 7, "matrices": batch.matrices.tolist()}
+        if finite:
+            obj["provenance"] = {"n": 5, "xi": np.eye(m).tolist(),
+                                 "beta": (2.0 * np.eye(m)).tolist(),
+                                 "kernel": {"family": "kotz", "q": 2.0, "r": 0.5, "s": 1.5},
+                                 "seed": 4}
+        pairs = [(i, j) for i in range(m) for j in range(i, m)]
+        csv = ",".join(f"t{i + 1}{j + 1}" for i, j in pairs) + "\n" + "".join(
+            ",".join(f"{T[i, j]:.17g}" for i, j in pairs) + "\n" for T in batch.matrices)
+        write_batch(tmp_path / "b.csv", batch)
+        write_batch(tmp_path / "b.json", batch)
+        assert (tmp_path / "b.csv").read_text() == csv
+        assert (tmp_path / "b.json").read_text() == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("text", [
+        "3",
+        '{"matrices": [[[1.0, 0.0], [0.0]]]}',
+        '{"matrices": [[["x", 0.0], [0.0, 1.0]]]}',
+        '{"matrices": [[[1.0, 0.0], [0.0, 1.0]]], "provenance": [1]}',
+        '{"matrices": [[[1.0, 0.0], [0.0, 1.0]]], "provenance": {"n": "six",'
+        ' "kernel": {"family": "gaussian"}}}',
+    ], ids=["top-level-number", "ragged", "non-numeric", "provenance-list",
+            "provenance-field"])
+    def test_malformed_json_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert run("density", "--data", str(path), "--n", "4") == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestSampleCommand:

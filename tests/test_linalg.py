@@ -10,6 +10,7 @@ from matrixbs.linalg import (
     log_mv_gamma,
     pinv,
     spd_sqrt,
+    sym_part,
     vec,
 )
 
@@ -43,6 +44,14 @@ class TestSpdSqrt:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             spd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestSymPart:
+    def test_stack_equals_per_matrix(self, rng):
+        S = rng.normal(size=(4, 3, 3))
+        expected = np.array([0.5 * (A + A.T) for A in S])
+        assert np.array_equal(sym_part(S), expected)
+        assert np.array_equal(sym_part(S[0]), expected[0])
 
 
 class TestPinv:

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
+from matrixbs import sampling
 from matrixbs.density import Convention, logpdf_T
 from matrixbs.errors import DomainError, OutsideSupportError
-from matrixbs.kernels import gaussian_kernel, sample_symmetric
+from matrixbs.kernels import gaussian_kernel, kotz_kernel, sample_symmetric
 from matrixbs.sampling import SampleBatch, sample_T, sample_V, sample_batch
 from matrixbs.transform import GbsParams, forward_map
 
@@ -131,6 +132,82 @@ class TestSampleBatch:
     def test_batch_shape_validation(self):
         with pytest.raises(DomainError):
             SampleBatch(m=2, count=3, matrices=np.zeros((3, 2, 3)))
+
+
+def per_draw_oracle(params, kernel, count, seed):
+    """The sampler as a loop: one kernel draw, one 2-D SVD and one T per draw."""
+    rng = np.random.default_rng(seed)
+    n, m = kernel.n, kernel.m
+    out = []
+    for _ in range(count):
+        if kernel.family == "gaussian":
+            Z = rng.standard_normal((n, m))
+        else:
+            w = rng.standard_gamma(kernel.gamma_shape())
+            radius = (w / kernel.r) ** (1.0 / (2.0 * kernel.s))
+            g = rng.standard_normal(n * m)
+            Z = (radius * (g / np.linalg.norm(g))).reshape(n, m)
+        H1, d, Qt = np.linalg.svd(Z @ params.xi, full_matrices=False)
+        V = (H1 * (0.5 * (d + np.sqrt(d * d + 4.0)))) @ Qt @ params.delta
+        S = V.T @ V
+        out.append(0.5 * (S + S.T))
+    return np.array(out)
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("count", [1, 257])
+    @pytest.mark.parametrize("full_beta", [False, True])
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_per_draw_loop(self, m, family, full_beta, count):
+        rng = np.random.default_rng(1000 * m + count)
+        n = m + 2
+        beta = rand_spd(m, rng, 50.0, 150.0) if full_beta else 100.0
+        params = GbsParams(n=n, xi=rand_spd(m, rng), beta=beta)
+        kernel = (gaussian_kernel(n, m) if family == "gaussian"
+                  else kotz_kernel(2.0, 0.5, 1.5, n, m))
+        batch = sample_batch(params, kernel, count, 3000 + m)
+        assert np.array_equal(batch.matrices,
+                              per_draw_oracle(params, kernel, count, 3000 + m))
+
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    def test_one_draw_views_follow_the_batch(self, family):
+        params = GbsParams(n=5, xi=np.array([[1.0, 0.3], [0.3, 0.8]]), beta=3.0)
+        kernel = (gaussian_kernel(5, 2) if family == "gaussian"
+                  else kotz_kernel(0.7, 2.0, 0.8, 5, 2))
+        batch = sample_batch(params, kernel, 4, 21)
+        rng = np.random.default_rng(21)
+        assert np.array_equal(batch.matrices,
+                              [sample_T(params, kernel, rng) for _ in range(4)])
+        rng = np.random.default_rng(21)
+        for T in batch.matrices:
+            V = sample_V(params, kernel, rng)
+            S = V.T @ V
+            assert np.array_equal(T, 0.5 * (S + S.T))
+
+    def test_kernel_stack_equals_one_draw_calls(self):
+        kernel = kotz_kernel(2.0, 0.5, 1.5, 4, 3)
+        stack = sample_symmetric(kernel, np.random.default_rng(8), 5)
+        rng = np.random.default_rng(8)
+        assert stack.shape == (5, 4, 3)
+        assert np.array_equal(stack, [sample_symmetric(kernel, rng) for _ in range(5)])
+
+    @pytest.mark.parametrize("count", [1, 300])
+    def test_traced_layers_called_once_per_batch(self, monkeypatch, count):
+        # the benchmark times these two functions at their sampling bindings;
+        # a batch that stops calling either leaves its per-layer figure empty
+        calls = {"sample_symmetric": 0, "inverse_map_branch": 0}
+        for name in calls:
+            original = getattr(sampling, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(sampling, name, counted)
+        params = GbsParams(n=8, xi=np.eye(3), beta=np.diag([100.0, 120.0, 90.0]))
+        for kernel in (gaussian_kernel(8, 3), kotz_kernel(2.0, 0.5, 1.5, 8, 3)):
+            sampling.sample_batch(params, kernel, count, 1)
+        assert calls == {"sample_symmetric": 2, "inverse_map_branch": 2}
 
 
 class TestImportanceSampling:

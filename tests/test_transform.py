@@ -114,6 +114,35 @@ class TestInverseMapBranch:
         V = inverse_map_branch(np.eye(2), p, tie_tol=0.0)
         assert np.abs(forward_map(V, p) - np.eye(2)).max() < 1e-12
 
+    def test_stack_equals_slice_by_slice(self, rng):
+        p = random_params(5, 3, rng)
+        Z = rng.normal(size=(6, 5, 3))
+        Z[2] = 0.0
+        V = inverse_map_branch(Z, p)
+        assert V.shape == (6, 5, 3)
+        for k in range(6):
+            assert np.array_equal(V[k], inverse_map_branch(Z[k], p))
+        assert np.array_equal(V[2], inverse_map_branch(np.zeros((5, 3)), p))
+
+    def test_stack_with_tied_slice_rejected(self, rng):
+        p = GbsParams(n=3, xi=np.eye(2), beta=np.eye(2))
+        Z = rng.normal(size=(4, 3, 2))
+        Z[1] = 0.0  # a zero slice is not a tie
+        Z[3] = np.vstack([2.0 * np.eye(2), np.zeros((1, 2))])
+        with pytest.raises(DegenerateEigenvaluesError) as err:
+            inverse_map_branch(Z, p)
+        assert err.value.row == 3
+        assert inverse_map_branch(Z[:3], p).shape == (3, 3, 2)
+
+    def test_stack_shape_and_finiteness_checked(self, rng):
+        p = random_params(4, 2, rng)
+        with pytest.raises(DomainError):
+            inverse_map_branch(rng.normal(size=(3, 4, 3)), p)
+        Z = rng.normal(size=(3, 4, 2))
+        Z[1, 0, 0] = np.nan
+        with pytest.raises(DomainError):
+            inverse_map_branch(Z, p)
+
     def test_second_preimage_m1(self, rng):
         # reciprocal-radius, flipped-direction vector maps to the same Z
         p = scalar_params(n=3, xi=0.8, beta=2.0)
