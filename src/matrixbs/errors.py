@@ -25,10 +25,6 @@ class DomainError(MatrixBsError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class DegenerateInputError(MatrixBsError):
-    """Input is degenerate in a way that admits no unique answer."""
-
-
 class DegenerateEigenvaluesError(MatrixBsError):
     """Coincident eigenvalues / singular values at the working tolerance."""
 

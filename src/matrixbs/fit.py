@@ -9,28 +9,22 @@ observation then lies in the branch region, the support of the sampler's
 law, under either convention.  For n > m the likelihood is -inf beyond
 it; for n = m it stays finite there, but that is not the sampled law.
 
-Gaussian: at fixed beta the shape has the closed form
+Both fits search beta alone, by one bounded Brent search of the profile
+likelihood in log beta over [beta_max / 1e6, beta_max], below which the
+likelihood is flat.  Gaussian: at fixed beta the shape is in closed form,
 
-    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I,
-
-which needs only the batch sums of T_k and T_k^{-1}.  The MLE is then a
-bounded scalar search of this profile likelihood in log beta over
-[beta_max / 1e6, beta_max]; below that range the profile is flat to a
-constant.
+    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I.
 
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
 is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  At
-fixed (beta, q) the shape M = Xi^{-2} solves the elliptical scatter
-equations (Kent & Tyler 1991); each inner step first rescales M in closed
-form, M <- c M with c^s = K a / (r sum_k u_k^s), u_k = tr(M A_k) and
-a = (2q + nm - 2) / (2s), then takes a safeguarded Newton step on the
-upper triangle of M.  A Nelder-Mead search over (logit beta/beta_max,
-ln(q - (2 - nm)/2)) maximises this profile from the better of the moment
-guess and the Gaussian optimum, both at q = 1, and starts each inner
-solve from the shape of the previous one; a search that ends below
-beta_max / 1e6, in the flat tail, is not converged.  profile_s_grid
-computes the moment guess and the Gaussian optimum once and shares them
-with every power.  Both fits are deterministic: the seed is only recorded.
+fixed beta a joint Newton solve maximises over M = Xi^{-2} and q (see
+_KotzProfile), each from the previous solution; the first starts from the
+better of the moment guess and the Gaussian optimum, both at q = 1.  A fit
+that ends at the bottom of the range, at the cap on q, or for m = 1 at
+beta_max with q < (3 - n)/2, where the likelihood is unbounded, is not
+converged.  profile_s_grid computes the moment guess and the Gaussian
+optimum once for every power.  Both fits are deterministic: the seed is
+only recorded.
 
 Model comparison uses the modified criterion
 
@@ -53,7 +47,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
@@ -70,18 +63,17 @@ DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 # beta stays below this fraction of the smallest observed eigenvalue so the
 # branch-region logarithms stay defined.
 BETA_MARGIN = 1.0 - 1e-6
-# the Gaussian profile search covers beta in [beta_max / BETA_RANGE, beta_max];
+# the search covers log beta in [beta_max / BETA_RANGE, beta_max], to XATOL;
 # below it the likelihood is flat, so a Kotz fit ending there is not converged
 BETA_RANGE = 1e6
+XATOL = 1e-10
 # Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
 # and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
 KOTZ_R = 0.5
 # Newton steps per Kotz profile point, and the Newton decrement that ends them
 INNER_STEPS = 50
 INNER_TOL = 1e-10
-# the Kotz search stops when its simplex values agree to this, relative
-REL_FTOL = 1e-10
-# the Kotz search caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
+# the Kotz fit caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
 # terms of a K = 20 likelihood reach 1e15, and their rounding exceeds 0.1
 LOG_Q_CAP = 30.0
 
@@ -295,11 +287,29 @@ def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
     )
 
 
-def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
-    """Profile-likelihood search: the closed-form shape at each beta, Brent's
-    bounded method in log beta; iterations counts likelihood evaluations."""
+def _search_log_beta(prep: _Prepared, loglik_at, max_iter: int):
+    """Brent's bounded search for the maximum of loglik_at(beta) in log beta.
+
+    Returns the result and the end of the range it stopped at, -1 (bottom),
+    1 (top) or 0: the search stops once its bracket is at most four times
+    its tolerance sqrt(eps) |x| + XATOL / 3 wide."""
     from scipy.optimize import minimize_scalar
 
+    def objective(log_beta):
+        value = loglik_at(math.exp(log_beta))
+        return -value if math.isfinite(value) else math.inf
+
+    top = math.log(prep.beta_max)
+    bottom = top - math.log(BETA_RANGE)
+    res = minimize_scalar(objective, bounds=(bottom, top), method="bounded",
+                          options={"xatol": XATOL, "maxiter": max_iter})
+    width = 4.0 * (math.sqrt(np.finfo(float).eps) * abs(res.x) + XATOL / 3.0)
+    end = -1 if res.x - bottom <= width else 1 if top - res.x <= width else 0
+    return res, end
+
+
+def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
+    """The closed-form shape at each beta; iterations counts evaluations."""
     K, m = prep.K, prep.m
     sum_T, sum_inv = prep.flat.sum(axis=1).reshape(2, m, m)
     kernel = gaussian_kernel(n, m)
@@ -309,27 +319,25 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
                               - (2.0 / n) * np.eye(m))
         return sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
 
-    def objective(log_beta):
-        beta = math.exp(log_beta)
-        value = _loglik_prepared(prep, n, beta, shape(beta), kernel)
-        return -value if math.isfinite(value) else math.inf
-
-    top = math.log(prep.beta_max)
-    res = minimize_scalar(objective, bounds=(top - math.log(BETA_RANGE), top),
-                          method="bounded",
-                          options={"xatol": 1e-10, "maxiter": spec.max_iter})
+    res, _ = _search_log_beta(prep, lambda beta: _loglik_prepared(
+        prep, n, beta, shape(beta), kernel), spec.max_iter)
     beta = math.exp(res.x)
     return _result(prep, spec, n, beta, shape(beta), bool(res.success), int(res.nfev))
 
 
 class _KotzProfile:
-    """Kotz log-likelihood at fixed (beta, q), maximised over M = Xi^{-2}.
+    """Kotz log-likelihood at fixed beta, maximised over M = Xi^{-2} and q.
 
     M is held as theta, its upper triangle.  With A_k = T_k / beta +
-    beta T_k^{-1} - 2 I the traces u_k = tr(M A_k) are linear in theta, and
-    the M-dependent part of the log-likelihood is
+    beta T_k^{-1} - 2 I, u_k = tr(M A_k) is linear in theta, and with
+    a = (2q + nm - 2) / (2s) the part of the log-likelihood that varies is
 
-        (K n / 2) ln|M| + sum_k [(q - 1) ln u_k - r u_k^s].
+        K [a ln r - lgamma(a)] + (K n / 2) ln|M| + sum_k [(q - 1) ln u_k - r u_k^s]
+
+    for q_floor = (2 - nm)/2 < q <= q_cap.  In M its maximum solves the
+    elliptical scatter equations (Kent & Tyler 1991); in q it is concave.
+    Called with beta alone, it solves from the last finite solution and
+    replaces it.
     """
 
     def __init__(self, prep: _Prepared, n: int, s: float):
@@ -344,6 +352,9 @@ class _KotzProfile:
         self.t_flat, self.inv_flat = prep.flat @ dup   # (K, p) each
         self.eye = (rows == cols).astype(float)         # vec(I) @ dup
         self.half_kn = 0.5 * K * n
+        self.q_floor = (2.0 - n * m) / 2.0
+        self.q_cap = self.q_floor + math.exp(LOG_Q_CAP)
+        self.theta, self.q = self.theta_of(np.eye(m)), 1.0
 
     def theta_of(self, xi: np.ndarray) -> np.ndarray:
         return sym_part(np.linalg.inv(xi @ xi))[np.triu_indices(self.prep.m)]
@@ -352,131 +363,119 @@ class _KotzProfile:
         m = self.prep.m
         return (self.dup @ theta).reshape(m, m)
 
-    def _part(self, theta, A, q) -> float:
-        """M-dependent log-likelihood; -inf unless M is positive definite."""
+    def _part(self, theta, q, A) -> float:
+        """The varying part; -inf unless M is positive definite and q > q_floor."""
+        if q <= self.q_floor:
+            return -math.inf
         try:
             L = np.linalg.cholesky(self.matrix(theta))
         except np.linalg.LinAlgError:
             return -math.inf
         u = A @ theta
-        value = (2.0 * self.half_kn * np.log(np.diag(L)).sum()
-                 - KOTZ_R * np.sum(u ** self.s))
-        if q != 1.0:
-            value += (q - 1.0) * np.sum(np.log(u))
+        a = (2.0 * q + self.n * self.prep.m - 2.0) / (2.0 * self.s)
+        value = (self.prep.K * (a * math.log(KOTZ_R) - math.lgamma(a))
+                 + 2.0 * self.half_kn * np.log(np.diag(L)).sum()
+                 + (q - 1.0) * np.sum(np.log(u)) - KOTZ_R * np.sum(u ** self.s))
         return float(value) if math.isfinite(value) else -math.inf
 
+    def __call__(self, beta: float) -> float:
+        value, theta, q, _ = self.solve(beta, self.q, self.theta)
+        if value > -math.inf:
+            self.theta, self.q = theta, q
+        return value
+
     def solve(self, beta: float, q: float, theta: np.ndarray):
-        """Maximise over M from theta.  Returns (log-likelihood, theta,
-        converged)."""
+        """Maximise over (M, q) from (theta, q).  Returns (log-likelihood,
+        theta, q, converged)."""
         m, s = self.prep.m, self.s
         A = self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            theta, converged = self._newton(A, q, theta)
+            theta, q, converged = self._newton(A, q, theta)
         value = log_t_density(self.prep.lam / beta, np.maximum(A @ theta, 0.0),
                               self.prep.sum_log_lam, self.n, m * math.log(beta),
                               -0.5 * float(np.linalg.slogdet(self.matrix(theta))[1]),
                               kotz_kernel(q, KOTZ_R, s, self.n, m),
                               Convention.AS_PUBLISHED, total=True)
-        return (value if math.isfinite(value) else -math.inf), theta, converged
+        return (value if math.isfinite(value) else -math.inf), theta, q, converged
 
     def _newton(self, A, q, theta):
         """Each step rescales M along its ray in closed form, then takes a
-        Newton step with the Hessian flipped to negative definite, halved
-        until M stays SPD and the value rises."""
+        joint Newton step over (theta, q) with the Hessian flipped to
+        negative definite, halved until M stays SPD, q stays above q_floor
+        and the value rises; q is clipped at q_cap."""
+        from scipy.special import digamma, zeta
+
         K, m, s, r = self.prep.K, self.prep.m, self.s, KOTZ_R
-        a = (2.0 * q + self.n * m - 2.0) / (2.0 * s)
-        dup = self.dup
+        dup, p = self.dup, len(theta)
+        hess = np.empty((p + 1, p + 1))
         for _ in range(INNER_STEPS):
+            a = (2.0 * q + self.n * m - 2.0) / (2.0 * s)
             # along M -> c M the maximum is at c^s = K a / (r sum_k u_k^s)
             theta = theta * (K * a / (r * np.sum((A @ theta) ** s))) ** (1.0 / s)
             u = A @ theta
             W = np.linalg.inv(self.matrix(theta))
-            # first and second derivatives of (q - 1) ln u - r u^s
+            # first and second derivatives of (q - 1) ln u - r u^s in u
             d1 = (q - 1.0) / u - r * s * u ** (s - 1.0)
             d2 = -(q - 1.0) / u ** 2 - r * s * (s - 1.0) * u ** (s - 2.0)
-            grad = self.half_kn * (W.ravel() @ dup) + d1 @ A
+            grad = np.append(self.half_kn * (W.ravel() @ dup) + d1 @ A,
+                             K * (math.log(r) - digamma(a)) / s + np.sum(np.log(u)))
             # d^2 ln|M| in directions E, F is -tr(W E W F): the Kronecker W x W
             kron = np.multiply.outer(W, W).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            hess = (A.T * d2) @ A - self.half_kn * (dup.T @ kron @ dup)
-            w, P = np.linalg.eigh(hess)
+            hess[:p, :p] = (A.T * d2) @ A - self.half_kn * (dup.T @ kron @ dup)
+            hess[:p, p] = hess[p, :p] = (1.0 / u) @ A
+            hess[p, p] = -K * zeta(2.0, a) / s ** 2  # psi'(a) = zeta(2, a)
+            # scaled to a unit diagonal: at small beta theta is 1e12 times finer than q
+            d = 1.0 / np.sqrt(np.abs(np.diag(hess)))
+            w, P = np.linalg.eigh(hess * np.outer(d, d))
             w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())
-            step = P @ ((grad @ P) / w)
+            step = d * (P @ ((grad * d @ P) / w))
             decrement = float(grad @ step)
             if not math.isfinite(decrement):
-                return theta, False
-            value = self._part(theta, A, q)
+                return theta, q, False
+            value = self._part(theta, q, A)
             floor = value - 1e-14 * max(1.0, abs(value))  # a fall within rounding
             for _ in range(30):
-                if self._part(theta + step, A, q) >= floor:
-                    theta = theta + step
+                q_next = min(q + step[p], self.q_cap)
+                if self._part(theta + step[:p], q_next, A) >= floor:
+                    theta, q = theta + step[:p], q_next
                     break
                 step = 0.5 * step
             else:
-                return theta, decrement <= INNER_TOL
+                return theta, q, decrement <= INNER_TOL
             if decrement <= INNER_TOL:
-                return theta, True
-        return theta, False
+                return theta, q, True
+        return theta, q, False
 
 
 def _fit_kotz(prep: _Prepared, spec: FitSpec, n: int, guess: InitialGuess,
               gauss: FitResult) -> FitResult:
-    """Profile search over (beta, q) with r pinned at KOTZ_R, from the moment
-    guess and the Gaussian optimum; iterations counts profile evaluations."""
-    from scipy.optimize import minimize
-
-    q_floor = (2.0 - n * prep.m) / 2.0
-    beta_max = prep.beta_max
+    """Brent in log beta, joint Newton over (M, q) at each beta, with r
+    pinned at KOTZ_R; iterations counts profile evaluations."""
     profile = _KotzProfile(prep, n, spec.s)
-
-    def pack(beta, q):
-        frac = min(max(beta / beta_max, 1e-12), 1.0 - 1e-9)
-        return np.array([logit(frac), math.log(q - q_floor)])
-
-    def unpack(x):
-        return float(beta_max * expit(x[0])), q_floor + math.exp(min(x[1], LOG_Q_CAP))
-
-    # two starts at q = 1: the moment guess and the Gaussian optimum
-    starts = []
-    for beta0, xi0 in ((min(guess.beta0, 0.9 * beta_max), guess.xi0),
-                       (gauss.beta, gauss.xi)):
-        x0 = pack(beta0, 1.0)
-        value, theta, _ = profile.solve(*unpack(x0), profile.theta_of(xi0))
-        starts.append((value, x0, theta))
-    f0, x0, theta = max(starts, key=lambda start: start[0])
-    last = [theta]  # each inner solve starts from the M of the previous one
-
-    def objective(x):
-        value, theta, _ = profile.solve(*unpack(x), last[0])
-        if value == -math.inf:
-            return math.inf
-        last[0] = theta
-        return -value
-
-    fatol = REL_FTOL * max(1.0, abs(f0) if math.isfinite(f0) else 1.0)
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": spec.max_iter, "maxfev": 2 * spec.max_iter,
-                            "fatol": fatol, "xatol": 1e-8})
-    beta, q = unpack(res.x)
-    _, theta, inner_converged = profile.solve(beta, q, last[0])
+    # the better of two starts at q = 1 seeds the search
+    starts = [profile.solve(beta0, 1.0, profile.theta_of(xi0))
+              for beta0, xi0 in ((min(guess.beta0, 0.9 * prep.beta_max), guess.xi0),
+                                 (gauss.beta, gauss.xi))]
+    _, profile.theta, profile.q, _ = max(starts, key=lambda start: start[0])
+    res, end = _search_log_beta(prep, profile, spec.max_iter)
+    beta = math.exp(res.x)
+    _, theta, q, inner_converged = profile.solve(beta, profile.q, profile.theta)
     w, P = np.linalg.eigh(profile.matrix(theta))
     xi = sym_part((P / np.sqrt(w)) @ P.T)
-    # at the cap on q the likelihood still rose, and below BETA_RANGE it is
-    # flat: either way the maximum was not reached
-    converged = bool(res.success and inner_converged and res.x[1] < LOG_Q_CAP
-                     and beta >= beta_max / BETA_RANGE)
+    # none is a maximum: at the cap on q the likelihood still rose, at the
+    # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
+    unbounded = prep.m == 1 and end == 1 and q < (3.0 - n) / 2.0
+    converged = bool(res.success and inner_converged and q < profile.q_cap
+                     and end != -1 and not unbounded)
     # profile evaluations: the starts, the search and the final solve
     return _result(prep, spec, n, beta, xi, converged, len(starts) + int(res.nfev) + 1, q)
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
-    """Maximise the log-likelihood of one family.
-
-    Gaussian: a bounded scalar search of the profile likelihood in log
-    beta, with the shape in closed form.  Kotz: r is pinned at 1/2 and a
-    simplex search over (beta, q) maximises the likelihood profiled over
-    the shape.  Both fits are deterministic.  A fit that exhausts the
-    iteration budget is returned flagged, not raised.
-    """
+    """Maximise the log-likelihood of one family: Brent in log beta, with the
+    Gaussian shape in closed form and, for the Kotz with r pinned at 1/2, a
+    joint Newton solve over (M, q), M = Xi^{-2}, at each beta.  Deterministic;
+    a fit that exhausts the iteration budget is returned flagged, not raised."""
     mats = _as_stack(data)
     prep = _Prepared(mats)
     if prep.K < 2:

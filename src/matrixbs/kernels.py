@@ -127,10 +127,13 @@ def sample_symmetric(kernel: KernelSpec, rng: np.random.Generator,
         norm = np.empty((size, 1))
         # one gamma then one normal vector per draw keeps the one-draw stream;
         # Python's float ** and sqrt keep each draw's last bit as well
-        for k in range(size):
-            radius[k] = (rng.standard_gamma(shape) / r) ** power
-            G[k] = g = rng.standard_normal(n * m)
-            norm[k] = math.sqrt(g @ g)
+        try:
+            for k in range(size):
+                radius[k] = (rng.standard_gamma(shape) / r) ** power
+                G[k] = g = rng.standard_normal(n * m)
+                norm[k] = math.sqrt(g @ g)
+        except OverflowError:
+            raise DomainError(f"the radius overflows at kotz power s={kernel.s:g}") from None
         Z = (radius * (G / norm)).reshape(size, n, m)
     return Z[0] if count is None else Z
 

@@ -8,16 +8,11 @@ and golden tests are reproducible.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import (
-    DomainError,
-    NotSpdError,
-    NotSymmetricError,
-    RankDeficientError,
-)
+from .errors import DomainError, NotSpdError, NotSymmetricError, RankDeficientError
 
 # Relative threshold below which a singular value counts as zero.
 RANK_TOL = 1e-12
@@ -137,4 +132,4 @@ def log_mv_gamma(m: int, a: float) -> float:
     if a <= (m - 1) / 2:
         raise DomainError(f"need a > (m-1)/2 = {(m - 1) / 2:g}, got a = {a:g}")
     return float(m * (m - 1) / 4 * np.log(np.pi)
-                 + sum(gammaln(a - (i - 1) / 2) for i in range(1, m + 1)))
+                 + sum(math.lgamma(a - (i - 1) / 2) for i in range(1, m + 1)))

@@ -60,8 +60,15 @@ def _draw_V(params: GbsParams, kernel: KernelSpec, rng: np.random.Generator,
             f"kernel dims ({kernel.n}, {kernel.m}) do not match params"
             f" ({params.n}, {params.m})")
     Z = sample_symmetric(kernel, rng, count)
-    # exact singular-value ties have probability zero; skip the uniqueness gate
-    return inverse_map_branch(Z, params, tie_tol=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exact singular-value ties have probability zero; skip the uniqueness gate
+        V = inverse_map_branch(Z, params, tie_tol=0.0)
+        # tr V'V bounds every entry of T = V'V
+        finite = np.isfinite(np.einsum("kij,kij->k", V, V)).all()
+    if not finite:
+        power = f" at kotz power s={kernel.s:g}" if kernel.s is not None else ""
+        raise DomainError(f"the draws overflow{power}")
+    return V
 
 
 def sample_V(params: GbsParams, kernel: KernelSpec,

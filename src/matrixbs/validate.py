@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .density import Convention, logpdf_T, logpdf_T_congruence, logpdf_T_inverse, logpdf_uni_gbs
 from .kernels import KernelSpec, gaussian_kernel, kotz_kernel, log_h
@@ -58,7 +57,7 @@ def _check_jacobians(rng, trials=40):
 
 def _radial_norm(kernel: KernelSpec) -> float:
     nm = kernel.nm
-    log_surface = math.log(2.0) + 0.5 * nm * math.log(math.pi) - gammaln(nm / 2)
+    log_surface = math.log(2.0) + 0.5 * nm * math.log(math.pi) - math.lgamma(nm / 2)
 
     def integrand(rho):
         if rho <= 0.0:

@@ -320,14 +320,15 @@ class TestKotzProfile:
 
     @pytest.mark.parametrize("s,q", [(0.5, -3.9), (1.0, 1.0), (2.0, 8.0), (5.0, 30.0)])
     def test_inner_solve_from_identity(self, s, q):
-        # the inner solve has no public entry: at fixed (beta, q), from M = I,
-        # it must reach the stationary point of the shape, a local maximum
+        # the inner solve has no public entry: at fixed beta, from M = I and
+        # the given q, it must reach a stationary point of the shape at the q
+        # it returns, a local maximum
         from matrixbs import fit as fit_module
 
         batch = make_batch(40, 12, n=5, kernel=kotz_kernel(2.0, 0.8, 1.2, 5, 2))
         T, K, n, beta = batch.matrices, batch.count, 5, 80.0
         profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
-        value, theta, converged = profile.solve(beta, q, profile.theta_of(np.eye(2)))
+        value, theta, q, converged = profile.solve(beta, q, profile.theta_of(np.eye(2)))
         assert converged
         M = profile.matrix(theta)
         A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(2)
@@ -342,6 +343,46 @@ class TestKotzProfile:
             E = rng.normal(scale=1e-3, size=(2, 2))
             for D in (E + E.T, -E - E.T):
                 assert loglik(T, n, beta, _inv_sqrt(M + D), kernel) < value
+
+    @pytest.mark.parametrize("s,q", [(0.5, -3.9), (1.0, 1.0), (2.0, 8.0), (5.0, 30.0)])
+    def test_inner_solve_stationary_in_q(self, s, q):
+        # the same joint solve zeroes the q gradient
+        #   K (ln r - psi(a)) / s + sum_k ln u_k,   a = (2q + nm - 2) / (2s)
+        from scipy.special import digamma
+
+        from matrixbs import fit as fit_module
+
+        batch = make_batch(40, 12, n=5, kernel=kotz_kernel(2.0, 0.8, 1.2, 5, 2))
+        T, K, n, beta = batch.matrices, batch.count, 5, 80.0
+        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
+        value, theta, q, converged = profile.solve(beta, q, profile.theta_of(np.eye(2)))
+        assert converged
+        A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(2)
+        u = np.einsum("ij,kij->k", profile.matrix(theta), A)
+        terms = (K * (math.log(0.5) - digamma((2.0 * q + n * 2 - 2.0) / (2.0 * s))) / s,
+                 np.sum(np.log(u)))
+        assert abs(sum(terms)) <= 1e-8 * max(abs(t) for t in terms)
+        xi = _inv_sqrt(profile.matrix(theta))
+        for dq in (-1e-3, 1e-3):
+            assert loglik(T, n, beta, xi, kotz_kernel(q + dq, 0.5, s, n, 2)) < value
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 5.0])
+    @pytest.mark.parametrize("batch,n", [
+        *_profile_fixtures(),
+        pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, id="popB")])
+    def test_dense_beta_grid_never_higher(self, batch, n, s):
+        # the profile over (M, q) has one mode in beta: no point of a dense
+        # grid, each solved from the one below it, beats the fit
+        from matrixbs import fit as fit_module
+
+        res = fit_mle(batch, FitSpec(family="kotz", s=s), n)
+        prep = fit_module._Prepared(batch.matrices)
+        profile = fit_module._KotzProfile(prep, n, s)
+        theta, q = profile.theta_of(np.eye(prep.m)), 1.0
+        for beta in np.geomspace(prep.beta_max / 1e6, prep.beta_max, 200):
+            value, theta, q, converged = profile.solve(beta, q, theta)
+            assert converged
+            assert value <= res.loglik_max + 1e-8
 
     @pytest.mark.parametrize("s", sorted(POP_B_MULTISTART))
     def test_at_least_multistart_paper_fixture(self, s):
@@ -372,16 +413,24 @@ class TestKotzProfile:
         assert kotz.loglik_max >= gauss.loglik_max - 1e-8
 
     def test_flat_tail_not_converged(self):
-        # m = 1 with q < 1 allowed: the search drifts to beta -> 0, where the
-        # likelihood is flat, and stops far below the Gaussian optimum
+        # m = 1: for q < (3 - n)/2 the likelihood rises without bound as beta
+        # approaches the smallest observation, so a search that ends there
+        # with such a q has found no maximum
         batch = sample_batch(GbsParams(n=2, xi=[[3.2]], beta=[[0.35]]),
                              kotz_kernel(0.3, 0.13, 2.5, 2, 1), 20, 1004)
-        gauss = fit_mle(batch, FitSpec(family="gaussian"), 2)
         kotz = fit_mle(batch, FitSpec(family="kotz", s=3.0), 2)
         beta_max = (1.0 - 1e-6) * batch.matrices.min()
-        assert kotz.beta < beta_max / 1e6
-        assert kotz.loglik_max < gauss.loglik_max
+        assert kotz.beta == pytest.approx(beta_max, rel=1e-6)
+        assert kotz.q < 0.5
         assert not kotz.converged
+
+    def test_unit_order_above_threshold_converged(self):
+        # the same flag leaves an m = 1 fit whose q is above (3 - n)/2 alone
+        batch = sample_batch(GbsParams(n=2, xi=[[0.5]], beta=[[1.0]]),
+                             kotz_kernel(2.0, 0.5, 1.0, 2, 1), 30, 6)
+        kotz = fit_mle(batch, FitSpec(family="kotz", s=3.0), 2)
+        assert 0.5 < kotz.q < 1.0
+        assert kotz.converged
 
 
 class TestFitSpec:
