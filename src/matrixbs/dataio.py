@@ -9,6 +9,7 @@ accepted).  The format is picked by file extension.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -55,20 +56,28 @@ def _batch_from_csv(text: str) -> SampleBatch:
     if not header or header[0] != "t11":
         raise DataFormatError("CSV header must list upper-triangle columns t11,t12,...")
     m = _infer_m(len(header))
-    pairs = _triangle_pairs(m)
-    mats = np.empty((len(lines) - 1, m, m))
-    for k, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != len(pairs):
-            raise DataFormatError(
-                f"row {k + 1}: expected {len(pairs)} values, got {len(cells)}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as bad:
-            raise DataFormatError(f"row {k + 1}: {bad}")
-        for (i, j), v in zip(pairs, vals):
-            mats[k, i, j] = v
-            mats[k, j, i] = v
+    width = len(header)
+    body = lines[1:]
+    try:
+        if any(line.count(",") != width - 1 for line in body):
+            raise ValueError
+        # one lazy pass over every cell: no per-row list outlives its row
+        cells = itertools.chain.from_iterable(line.split(",") for line in body)
+        upper = np.fromiter(map(float, cells), float, count=len(body) * width)
+    except ValueError:
+        for k, line in enumerate(body):  # name the first bad row
+            row = line.split(",")
+            if len(row) != width:
+                raise DataFormatError(f"row {k + 1}: expected {width} values, got {len(row)}")
+            try:
+                [float(c) for c in row]
+            except ValueError as bad:
+                raise DataFormatError(f"row {k + 1}: {bad}")
+    upper = upper.reshape(len(body), width)
+    mats = np.empty((len(body), m, m))
+    i, j = np.triu_indices(m)  # row-major, the column order
+    mats[:, i, j] = upper
+    mats[:, j, i] = upper
     return SampleBatch(m=m, count=mats.shape[0], matrices=mats)
 
 

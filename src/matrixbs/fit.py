@@ -9,9 +9,12 @@ observation then lies in the branch region, the support of the sampler's
 law, under either convention.  For n > m the likelihood is -inf beyond
 it; for n = m it stays finite there, but that is not the sampled law.
 
-Both fits search beta alone, by one bounded Brent search of the profile
-likelihood in log beta over [beta_max / 1e6, beta_max], below which the
-likelihood is flat.  Gaussian: at fixed beta the shape is in closed form,
+Both fits search beta alone, for the zero of the profile likelihood's
+slope in ln beta over [beta_max / 1e6, beta_max], below which the
+likelihood is flat (_search_log_beta).  By the envelope theorem that slope
+is the partial derivative in ln beta at the maximising shape (and q), one
+more pass over the cached traces.  Gaussian: at fixed beta the shape is in
+closed form,
 
     Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I.
 
@@ -51,8 +54,9 @@ import numpy as np
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
-from .linalg import check_spd, sym_part
+from .linalg import check_spd, digamma, sym_part, trigamma
 from .sampling import SampleBatch
+from .transform import log_gfactor_slope
 
 __all__ = ["EvidenceGrade", "FitResult", "FitSpec", "InitialGuess", "ProfileRow",
            "ProfileResult", "bic_star", "evidence_grade", "fit_mle", "init_guess",
@@ -63,10 +67,15 @@ DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 # beta stays below this fraction of the smallest observed eigenvalue so the
 # branch-region logarithms stay defined.
 BETA_MARGIN = 1.0 - 1e-6
-# the search covers log beta in [beta_max / BETA_RANGE, beta_max], to XATOL;
-# below it the likelihood is flat, so a Kotz fit ending there is not converged
+# the search covers log beta in [beta_max / BETA_RANGE, beta_max]; below it
+# the likelihood is flat, so a Kotz fit ending there is not converged
 BETA_RANGE = 1e6
+# the search's first step in ln beta, and where the Gaussian search starts
+# below ln beta_max; it stops once its bracket is below XATOL wide or the
+# profile's slope is below SLOPE_RTOL of the magnitudes of its terms
+STEP0 = 0.1
 XATOL = 1e-10
+SLOPE_RTOL = 1e-13
 # Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
 # and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
 KOTZ_R = 0.5
@@ -287,42 +296,114 @@ def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
     )
 
 
-def _search_log_beta(prep: _Prepared, loglik_at, max_iter: int):
-    """Brent's bounded search for the maximum of loglik_at(beta) in log beta.
+def _log_beta_slope(prep: _Prepared, n: int, beta: float, tT, tI, dh) -> float:
+    """d loglik / d ln beta at fixed (Xi, q), or 0.0 where it is below
+    SLOPE_RTOL of the magnitudes of its terms, zero to rounding.
 
-    Returns the result and the end of the range it stopped at, -1 (bottom),
-    1 (top) or 0: the search stops once its bracket is at most four times
-    its tolerance sqrt(eps) |x| + XATOL / 3 wide."""
-    from scipy.optimize import minimize_scalar
+    tT and tI are tr(M T_k) and tr(M T_k^{-1}) for M = Xi^{-2}, per
+    observation or summed, and dh is h'(u_k): u_k moves by
+    beta tr(M T_k^{-1}) - tr(M T_k) / beta, the constant by -K n m / 2 and
+    log|G| as transform.log_gfactor_slope says.  By the envelope theorem it
+    is the profile's slope when (Xi, q) maximise the likelihood at beta."""
+    const = 0.5 * prep.K * n * prep.m
+    g_slope, g_scale = log_gfactor_slope(prep.lam / beta, n, prep.m)
+    up, down = beta * tI, tT / beta
+    slope = g_slope - const + float(np.sum(dh * (up - down)))
+    scale = g_scale + const + float(np.sum(np.abs(dh) * (up + down)))
+    return 0.0 if abs(slope) <= SLOPE_RTOL * scale else slope
 
-    def objective(log_beta):
-        value = loglik_at(math.exp(log_beta))
-        return -value if math.isfinite(value) else math.inf
 
+def _search_log_beta(prep: _Prepared, slope_at, x: float, g: float, max_iter: int):
+    """Find the maximum of a profile likelihood in x = ln beta as the zero of
+    its slope, from x with slope g; slope_at(beta) gives the slope, 0.0
+    where it is zero to rounding and nan where the profile is -inf, which
+    counts as past the maximum.
+
+    It steps uphill, by STEP0 and then by secant steps of at most four
+    times the last, until the slope changes sign or a bound is reached.  A
+    step reaches beta_max only if the slope rose over the last one or the
+    secant puts its zero more than 8 times the remaining distance past the
+    top; else it goes halfway there.  Inside the bracket it takes secant steps
+    from the last two points, and bisects when one would leave the bracket
+    or not halve the last step.  It stops at a zero slope or once the
+    bracket is below XATOL wide.
+
+    Returns the beta evaluated last (beta_max itself at the top), the
+    number of evaluations, the end and success.  The end is 1 if the slope
+    is still positive at beta_max, -1 if still negative at the bottom of
+    the range (the flat tail), else 0.  Success is False once max_iter
+    evaluations are spent."""
     top = math.log(prep.beta_max)
     bottom = top - math.log(BETA_RANGE)
-    res = minimize_scalar(objective, bounds=(bottom, top), method="bounded",
-                          options={"xatol": XATOL, "maxiter": max_iter})
-    width = 4.0 * (math.sqrt(np.finfo(float).eps) * abs(res.x) + XATOL / 3.0)
-    end = -1 if res.x - bottom <= width else 1 if top - res.x <= width else 0
-    return res, end
+
+    def beta_of(x):
+        return prep.beta_max if x == top else math.exp(x)
+
+    lo = hi = None          # points known below and above the zero of the slope
+    x_prev = g_prev = None
+    step = STEP0
+    evals = 0
+    while True:
+        if not math.isfinite(g):
+            g = -math.inf if x_prev is None or x > x_prev else math.inf
+        if g > 0.0:
+            lo = x
+        elif g < 0.0:
+            hi = x
+        end = 1 if x == top and g > 0.0 else -1 if x == bottom and g < 0.0 else 0
+        done = g == 0.0 or end != 0 or (lo is not None and hi is not None and hi - lo <= XATOL)
+        if done or evals >= max_iter:
+            return beta_of(x), evals, end, done
+        secant = (-g * (x - x_prev) / (g - g_prev)
+                  if x_prev is not None and math.isfinite(g - g_prev) and g != g_prev
+                  else math.nan)
+        if lo is None or hi is None:
+            uphill = math.copysign(1.0, g) * secant  # > 0 while the slope falls
+            step_next = uphill if uphill > 0.0 else 2.0 * step if x_prev is not None else STEP0
+            x_next = max(x + math.copysign(min(step_next, 4.0 * step), g), bottom)
+            if x_next >= top:
+                # for m = 1 the likelihood can rise without bound towards
+                # beta_max past a maximum below it: go only halfway there
+                # unless the slope rose or its zero lies far past beta_max
+                reach = x_prev is not None and not 0.0 < uphill <= 8.0 * (top - x)
+                x_next = top if reach or top - x <= XATOL else 0.5 * (x + top)
+        else:
+            x_next = x + secant
+            if not (lo < x_next < hi and abs(secant) <= 0.5 * step):
+                x_next = 0.5 * (lo + hi)
+        if x_next == x:  # a secant step below rounding: step over the zero
+            x_next = min(max(x + math.copysign(0.5 * XATOL, g), bottom), top)
+        step = max(abs(x_next - x), 0.5 * XATOL)
+        x_prev, g_prev, x = x, g, x_next
+        g = slope_at(beta_of(x))
+        evals += 1
 
 
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
-    """The closed-form shape at each beta; iterations counts evaluations."""
+    """The closed-form shape at each beta; iterations counts its evaluations.
+    The search starts STEP0 below ln beta_max, near where optima sit."""
     K, m = prep.K, prep.m
     sum_T, sum_inv = prep.flat.sum(axis=1).reshape(2, m, m)
-    kernel = gaussian_kernel(n, m)
 
-    def shape(beta):
-        w, P = np.linalg.eigh(sym_part(sum_T / beta + beta * sum_inv) / (K * n)
+    def spectrum(beta):
+        """Eigenvalues and eigenvectors of Xi^2 at beta."""
+        return np.linalg.eigh(sym_part(sum_T / beta + beta * sum_inv) / (K * n)
                               - (2.0 / n) * np.eye(m))
-        return sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
 
-    res, _ = _search_log_beta(prep, lambda beta: _loglik_prepared(
-        prep, n, beta, shape(beta), kernel), spec.max_iter)
-    beta = math.exp(res.x)
-    return _result(prep, spec, n, beta, shape(beta), bool(res.success), int(res.nfev))
+    def slope_at(beta):
+        w, P = spectrum(beta)
+        if w[0] <= 0.0:
+            return math.nan
+        M = (P / w) @ P.T
+        return _log_beta_slope(prep, n, beta, float(np.vdot(M, sum_T)),
+                               float(np.vdot(M, sum_inv)), -0.5)
+
+    x = math.log(prep.beta_max) - STEP0
+    beta, evals, _, success = _search_log_beta(prep, slope_at, x, slope_at(math.exp(x)),
+                                               spec.max_iter)
+    w, P = spectrum(beta)
+    xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
+    return _result(prep, spec, n, beta, xi, success, evals + 1)
 
 
 class _KotzProfile:
@@ -336,8 +417,9 @@ class _KotzProfile:
 
     for q_floor = (2 - nm)/2 < q <= q_cap.  In M its maximum solves the
     elliptical scatter equations (Kent & Tyler 1991); in q it is concave.
-    Called with beta alone, it solves from the last finite solution and
-    replaces it.
+    It keeps one solution, (beta, theta, q, converged); called with beta,
+    it solves from that one, keeps the new one if finite and returns the
+    profile's slope in ln beta there.
     """
 
     def __init__(self, prep: _Prepared, n: int, s: float):
@@ -354,6 +436,7 @@ class _KotzProfile:
         self.half_kn = 0.5 * K * n
         self.q_floor = (2.0 - n * m) / 2.0
         self.q_cap = self.q_floor + math.exp(LOG_Q_CAP)
+        self.beta, self.converged = prep.beta_max, False
         self.theta, self.q = self.theta_of(np.eye(m)), 1.0
 
     def theta_of(self, xi: np.ndarray) -> np.ndarray:
@@ -379,10 +462,21 @@ class _KotzProfile:
         return float(value) if math.isfinite(value) else -math.inf
 
     def __call__(self, beta: float) -> float:
-        value, theta, q, _ = self.solve(beta, self.q, self.theta)
-        if value > -math.inf:
-            self.theta, self.q = theta, q
-        return value
+        """Solve at beta from the kept solution, keep the new one if finite,
+        and return the profile's slope in ln beta there."""
+        value, theta, q, converged = self.solve(beta, self.q, self.theta)
+        if value == -math.inf:
+            return math.nan
+        self.beta, self.theta, self.q, self.converged = beta, theta, q, converged
+        return self.slope()
+
+    def slope(self) -> float:
+        """The slope in ln beta at the kept solution."""
+        beta, theta, q, s = self.beta, self.theta, self.q, self.s
+        tT, tI = self.t_flat @ theta, self.inv_flat @ theta
+        u = tT / beta + beta * tI - 2.0 * (self.eye @ theta)
+        dh = (q - 1.0) / u - KOTZ_R * s * u ** (s - 1.0)
+        return _log_beta_slope(self.prep, self.n, beta, tT, tI, dh)
 
     def solve(self, beta: float, q: float, theta: np.ndarray):
         """Maximise over (M, q) from (theta, q).  Returns (log-likelihood,
@@ -402,9 +496,8 @@ class _KotzProfile:
         """Each step rescales M along its ray in closed form, then takes a
         joint Newton step over (theta, q) with the Hessian flipped to
         negative definite, halved until M stays SPD, q stays above q_floor
-        and the value rises; q is clipped at q_cap."""
-        from scipy.special import digamma, zeta
-
+        and the value rises (the last step only needs the first two); q is
+        clipped at q_cap."""
         K, m, s, r = self.prep.K, self.prep.m, self.s, KOTZ_R
         dup, p = self.dup, len(theta)
         hess = np.empty((p + 1, p + 1))
@@ -423,7 +516,7 @@ class _KotzProfile:
             kron = np.multiply.outer(W, W).transpose(0, 2, 1, 3).reshape(m * m, m * m)
             hess[:p, :p] = (A.T * d2) @ A - self.half_kn * (dup.T @ kron @ dup)
             hess[:p, p] = hess[p, :p] = (1.0 / u) @ A
-            hess[p, p] = -K * zeta(2.0, a) / s ** 2  # psi'(a) = zeta(2, a)
+            hess[p, p] = -K * trigamma(a) / s ** 2
             # scaled to a unit diagonal: at small beta theta is 1e12 times finer than q
             d = 1.0 / np.sqrt(np.abs(np.diag(hess)))
             w, P = np.linalg.eigh(hess * np.outer(d, d))
@@ -433,10 +526,13 @@ class _KotzProfile:
             if not math.isfinite(decrement):
                 return theta, q, False
             value = self._part(theta, q, A)
-            floor = value - 1e-14 * max(1.0, abs(value))  # a fall within rounding
+            # a fall within rounding; a step whose predicted rise is itself
+            # below INNER_TOL, within the value's rounding, needs only stay feasible
+            floor = (-math.inf if decrement <= INNER_TOL
+                     else value - 1e-14 * max(1.0, abs(value)))
             for _ in range(30):
                 q_next = min(q + step[p], self.q_cap)
-                if self._part(theta + step[:p], q_next, A) >= floor:
+                if self._part(theta + step[:p], q_next, A) > floor:
                     theta, q = theta + step[:p], q_next
                     break
                 step = 0.5 * step
@@ -449,33 +545,38 @@ class _KotzProfile:
 
 def _fit_kotz(prep: _Prepared, spec: FitSpec, n: int, guess: InitialGuess,
               gauss: FitResult) -> FitResult:
-    """Brent in log beta, joint Newton over (M, q) at each beta, with r
-    pinned at KOTZ_R; iterations counts profile evaluations."""
+    """The slope search in ln beta, a joint Newton solve over (M, q) at each
+    beta, with r pinned at KOTZ_R; iterations counts the (M, q) solves, the
+    two starts included."""
     profile = _KotzProfile(prep, n, spec.s)
     # the better of two starts at q = 1 seeds the search
-    starts = [profile.solve(beta0, 1.0, profile.theta_of(xi0))
+    starts = [(beta0, *profile.solve(beta0, 1.0, profile.theta_of(xi0)))
               for beta0, xi0 in ((min(guess.beta0, 0.9 * prep.beta_max), guess.xi0),
                                  (gauss.beta, gauss.xi))]
-    _, profile.theta, profile.q, _ = max(starts, key=lambda start: start[0])
-    res, end = _search_log_beta(prep, profile, spec.max_iter)
-    beta = math.exp(res.x)
-    _, theta, q, inner_converged = profile.solve(beta, profile.q, profile.theta)
-    w, P = np.linalg.eigh(profile.matrix(theta))
+    profile.beta, _, profile.theta, profile.q, profile.converged = max(
+        starts, key=lambda start: start[1])
+    _, evals, end, success = _search_log_beta(prep, profile, math.log(profile.beta),
+                                              profile.slope(), spec.max_iter)
+    # the search ends at its last solve; if that one failed, at the last finite one
+    beta, q = profile.beta, profile.q
+    w, P = np.linalg.eigh(profile.matrix(profile.theta))
     xi = sym_part((P / np.sqrt(w)) @ P.T)
     # none is a maximum: at the cap on q the likelihood still rose, at the
     # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
     unbounded = prep.m == 1 and end == 1 and q < (3.0 - n) / 2.0
-    converged = bool(res.success and inner_converged and q < profile.q_cap
+    converged = bool(success and profile.converged and q < profile.q_cap
                      and end != -1 and not unbounded)
-    # profile evaluations: the starts, the search and the final solve
-    return _result(prep, spec, n, beta, xi, converged, len(starts) + int(res.nfev) + 1, q)
+    # profile solves: the two starts and the search's
+    return _result(prep, spec, n, beta, xi, converged, len(starts) + evals, q)
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
-    """Maximise the log-likelihood of one family: Brent in log beta, with the
-    Gaussian shape in closed form and, for the Kotz with r pinned at 1/2, a
-    joint Newton solve over (M, q), M = Xi^{-2}, at each beta.  Deterministic;
-    a fit that exhausts the iteration budget is returned flagged, not raised."""
+    """Maximise the log-likelihood of one family: a search for the zero of
+    the profile's slope in ln beta, with the Gaussian shape in closed form
+    and, for the Kotz with r pinned at 1/2, a joint Newton solve over
+    (M, q), M = Xi^{-2}, at each beta.  Deterministic; max_iter caps the
+    search's evaluations after its start, and a fit that exhausts it is
+    returned flagged, not raised."""
     mats = _as_stack(data)
     prep = _Prepared(mats)
     if prep.K < 2:

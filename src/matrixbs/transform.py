@@ -44,7 +44,7 @@ BOUNDARY_TOL = 1e-12
 
 __all__ = ["GbsParams", "JacobianReport", "forward_map", "inverse_map_branch",
            "jacobian_det_form", "jacobian_fd_oracle", "jacobian_report",
-           "jacobian_sv_form", "log_abs_gfactor"]
+           "jacobian_sv_form", "log_abs_gfactor", "log_gfactor_slope"]
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,18 @@ def branch_eigs(V, params: GbsParams) -> np.ndarray:
     return g2
 
 
+def _gfactor_pairs(n: int, m: int):
+    """Weights and index pairs (i, j) of the product form's pair factors.
+
+    One factor per pair i <= j, F_ij = 1 - x_i x_j in the first form
+    (x = 1/d), so that 1 - x_i = F_ii / (1 + x_i); the diagonal counts only
+    for n > m, where the factor (1 - x_i)^(n-m) is present.
+    """
+    pairs = [(i, j) for i in range(m) for j in range(i if n > m else i + 1, m)]
+    weights = np.array([n - m if i == j else 1 for i, j in pairs], dtype=float)
+    return weights, np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
 @np.errstate(divide="ignore")
 def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
                     boundary_tol: float = BOUNDARY_TOL, total: bool = False):
@@ -188,12 +200,7 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
         x = np.array(d, order="C")
     else:
         raise DomainError(f"form must be 'first' or 'second', got {form!r}")
-    # One factor per pair i <= j, F_ij = 1 - x_i x_j in the first form (x = 1/d),
-    # so that 1 - x_i = F_ii / (1 + x_i); the diagonal counts only for n > m,
-    # where the factor (1 - x_i)^(n-m) is present.
-    pairs = [(i, j) for i in range(m) for j in range(i if n > m else i + 1, m)]
-    weights = np.array([n - m if i == j else 1 for i, j in pairs], dtype=float)
-    rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    weights, rows = _gfactor_pairs(n, m)
     F = x[rows[:, 0]] * x[rows[:, 1]]
     F = 1.0 - F if form == "first" else F - 1.0
     a = np.abs(F)
@@ -210,6 +217,22 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
     if log_abs.ndim == 0:
         return float(log_abs), int(sign)
     return log_abs, sign
+
+
+def log_gfactor_slope(deltas, n: int, m: int) -> tuple[float, float]:
+    """d log|G| / d ln beta over a (K, m) batch of deltas, the eigenvalues of
+    beta^{-1} T, and the sum of its terms' magnitudes.
+
+    In the first form every x = 1/d is proportional to beta, so each pair
+    factor contributes -2 w x_i x_j / (1 - x_i x_j) and each eigenvalue
+    (1 - max(n - m, 0)) x / (1 + x).  Off the zero set of log_abs_gfactor.
+    """
+    x = np.divide(1.0, np.asarray(deltas, dtype=float).T, order="C")
+    weights, rows = _gfactor_pairs(n, m)
+    F = x[rows[:, 0]] * x[rows[:, 1]]
+    pair = -2.0 * (weights @ (F / (1.0 - F)))
+    single = (1 - max(n - m, 0)) * (x / (1.0 + x)).sum(axis=0)
+    return float((pair + single).sum()), float(np.abs(pair).sum() + np.abs(single).sum())
 
 
 def jacobian_det_form(V, params: GbsParams) -> float:

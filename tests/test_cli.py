@@ -69,6 +69,39 @@ class TestDataIo:
         with pytest.raises(DataFormatError, match="row 1"):
             read_batch(path)
 
+    def test_csv_reader_matches_row_oracle(self, tmp_path):
+        # cells as the writer spells them and as people do: exponents,
+        # padding, signed zeros, integers; compared bit for bit
+        rng = np.random.default_rng(11)
+        m = 3
+        upper = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-8, 9, size=(40, 6))
+        cells = [[repr(float(v)) for v in row] for row in upper]
+        cells[0][1], cells[1][3], cells[2][4], cells[3][0] = " 2.5e-3 ", "-0.0", "7", "1E+2"
+        path = tmp_path / "batch.csv"
+        path.write_text("t11,t12,t13,t22,t23,t33\n"
+                        + "\n".join(",".join(row) for row in cells) + "\n", encoding="utf-8")
+        from matrixbs.dataio import _batch_from_csv  # the parser alone: cells need not be SPD
+
+        got = _batch_from_csv(path.read_text(encoding="utf-8")).matrices
+        want = np.empty((len(cells), m, m))
+        pairs = [(i, j) for i in range(m) for j in range(i, m)]
+        for k, row in enumerate(cells):  # one item set per cell and side
+            for (i, j), cell in zip(pairs, row):
+                want[k, i, j] = want[k, j, i] = float(cell)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body,row", [
+        ("4.0,0.1,3.0\n4.0,0.1\n", 2),
+        ("4.0,0.1,3.0\n4.0,0.1,3.0,1.0\n", 2),
+        ("4.0,0.1,3.0\n4.0,0.1,3.0\n4.0,nope,3.0\n4.0,0.1\n", 3),
+        ("4.0,0.1,3.0\n4.0,0.1\n4.0,nope,3.0\n", 2),
+    ])
+    def test_bad_row_named(self, tmp_path, body, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("t11,t12,t22\n" + body, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^row {row}:"):
+            read_batch(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -302,6 +335,23 @@ class TestConfig:
 def test_cli_import_skips_optimizer_and_validation():
     code = ("import sys, matrixbs.cli; print(sorted(m for m in sys.modules"
             " if m == 'matrixbs.validate' or m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_fit_and_compare_load_no_scipy(tmp_path):
+    data = Path(__file__).resolve().parent / "data" / "paper_k20_round1_popB.csv"
+    code = ("import sys; from matrixbs.cli import main\n"
+            f"assert main(['fit', '--data', {str(data)!r}, '--n', '6', '--family', 'kotz',"
+            " '--s', '1.5',"
+            f" '--out', {str(tmp_path / 'fit.json')!r}]) == 0\n"
+            f"assert main(['compare', '--data', {str(data)!r}, '--n', '6',"
+            f" '--out', {str(tmp_path / 'compare.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

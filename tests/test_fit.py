@@ -433,6 +433,101 @@ class TestKotzProfile:
         assert kotz.converged
 
 
+class TestLogBetaSearch:
+    """The search for beta on the profile's slope in ln beta."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    def test_slope_is_partial_derivative(self, family):
+        # at fixed (Xi, q) the slope is d loglik / d ln beta
+        from matrixbs import fit as fit_module
+
+        T, n, beta = read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6, 90.0
+        q, r, s = 1.7, 0.4, 1.3
+        kernel = gaussian_kernel(n, 2) if family == "gaussian" else kotz_kernel(q, r, s, n, 2)
+        M = np.linalg.inv(XI_TRUE @ XI_TRUE)
+        tT = np.einsum("ij,kij->k", M, T)
+        tI = np.einsum("ij,kij->k", M, np.linalg.inv(T))
+        u = tT / beta + beta * tI - 2.0 * np.trace(M)
+        dh = -0.5 if family == "gaussian" else (q - 1.0) / u - r * s * u ** (s - 1.0)
+        slope = fit_module._log_beta_slope(fit_module._Prepared(T), n, beta, tT, tI, dh)
+        h = 1e-5
+        diff = (loglik(T, n, beta * math.exp(h), XI_TRUE, kernel)
+                - loglik(T, n, beta * math.exp(-h), XI_TRUE, kernel)) / (2 * h)
+        assert slope == pytest.approx(diff, rel=1e-6)
+
+    @pytest.mark.parametrize("root,end", [(-3.0, 0), (-0.01, 0), (0.5, 1), (-20.0, -1)])
+    def test_zero_of_known_slope(self, root, end):
+        # slope tanh(root - ln beta) over ln beta in [-ln 1e6, 0]: the zero
+        # inside the range, or the end of the range the slope points past
+        from types import SimpleNamespace
+
+        from matrixbs import fit as fit_module
+
+        def slope_at(beta):
+            return math.tanh(root - math.log(beta))
+
+        beta, evals, got_end, success = fit_module._search_log_beta(
+            SimpleNamespace(beta_max=1.0), slope_at, -0.1, slope_at(math.exp(-0.1)), 100)
+        assert success and got_end == end and evals <= 30
+        assert math.log(beta) == pytest.approx(min(max(root, -math.log(1e6)), 0.0), abs=1e-10)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
+    def test_kotz_slope_is_profile_derivative(self, s):
+        # the envelope theorem: at the joint (M, q) solution the partial
+        # derivative is the derivative of the profile itself
+        from matrixbs import fit as fit_module
+
+        T, n, beta, h = read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6, 95.0, 1e-4
+        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
+        profile(beta)
+        values = [profile.solve(beta * math.exp(d), profile.q, profile.theta)[0]
+                  for d in (h, -h)]
+        assert profile(beta) == pytest.approx((values[0] - values[1]) / (2 * h), rel=1e-5)
+
+    @pytest.mark.parametrize("spec", [FitSpec(family="gaussian"), FitSpec(family="kotz", s=1.5),
+                                      FitSpec(family="kotz", s=0.5)],
+                             ids=["gaussian", "kotz s=1.5", "kotz s=0.5"])
+    @pytest.mark.parametrize("batch,n", [
+        pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, id="popB"),
+        _profile_fixtures()[3]])
+    def test_scaled_data_scale_beta(self, batch, n, spec):
+        # 4 T is exact in floating point and has the optimum (4 beta, Xi, q):
+        # the search pins beta to far below the width of its old bracket
+        T = batch.matrices
+        res = fit_mle(T, spec, n)
+        scaled = fit_mle(4.0 * T, spec, n)
+        assert scaled.beta == pytest.approx(4.0 * res.beta, rel=1e-10, abs=0.0)
+        assert scaled.xi == pytest.approx(res.xi, rel=1e-10, abs=1e-10 * np.abs(res.xi).max())
+        assert res.converged and scaled.converged
+
+    def test_degrees_equal_order_ends_at_cap(self):
+        # n = m: the slope is still positive at beta_max, so both fits end there
+        batch = make_batch(30, 4, n=2)
+        cap = (1.0 - 1e-6) * np.linalg.eigvalsh(batch.matrices).min()
+        for spec in (FitSpec(family="gaussian"), FitSpec(family="kotz", s=1.0)):
+            res = fit_mle(batch, spec, 2)
+            assert res.beta == pytest.approx(cap, rel=1e-12)
+            assert res.beta <= cap
+
+    def test_kotz_solves_per_row(self):
+        # the popB default grid took 19 to 25 profile solves per row by a
+        # derivative-free search in ln beta
+        batch = read_batch(DATA / "paper_k20_round1_popB.csv")
+        rows = profile_s_grid(batch, n=6).rows
+        assert all(row.fit.converged for row in rows)
+        assert np.median([row.fit.iterations for row in rows]) <= 14
+
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    def test_iteration_budget_caps_search(self, family):
+        # the budget counts the search's evaluations beyond its start; a fit
+        # that spends it is returned flagged, not raised
+        batch = read_batch(DATA / "paper_k20_round1_popB.csv")
+        res = fit_mle(batch, FitSpec(family=family, max_iter=2), 6)
+        assert not res.converged
+        assert res.iterations == (3 if family == "gaussian" else 4)
+        assert math.isfinite(res.loglik_max)
+
+
 class TestFitSpec:
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_kotz_power_positive_finite(self, s):

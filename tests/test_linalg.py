@@ -6,11 +6,13 @@ import pytest
 from matrixbs.errors import DomainError, NotSpdError, NotSymmetricError, RankDeficientError
 from matrixbs.linalg import (
     commutation,
+    digamma,
     kron,
     log_mv_gamma,
     pinv,
     spd_sqrt,
     sym_part,
+    trigamma,
     vec,
 )
 
@@ -120,3 +122,35 @@ class TestLogMvGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             log_mv_gamma(2, 0.5)
+
+
+# arguments from 1e-4 to 1e6, half-integers and integers included
+POLYGAMMA_ARGS = np.unique(np.concatenate([np.geomspace(1e-4, 1e6, 801),
+                                           np.arange(0.5, 60.0, 0.5)]))
+# where psi crosses zero its relative error is unbounded, so near this root
+# the check is absolute
+PSI_ROOT = 1.4616321449683622
+
+
+class TestPolygamma:
+    def test_digamma_matches_scipy(self):
+        from scipy.special import digamma as reference
+
+        for a in POLYGAMMA_ARGS:
+            want = float(reference(a))
+            tol = 1e-15 if abs(a - PSI_ROOT) < 0.01 else 1e-13 * abs(want)
+            assert abs(digamma(a) - want) <= tol, a
+
+    def test_trigamma_matches_scipy(self):
+        from scipy.special import polygamma
+
+        for a in POLYGAMMA_ARGS:
+            want = float(polygamma(1, a))
+            assert abs(trigamma(a) - want) <= 1e-13 * want, a
+
+    def test_recurrence_across_series_switch(self):
+        # psi(x + 1) = psi(x) + 1/x and psi'(x + 1) = psi'(x) - 1/x^2 across
+        # the argument where the recurrence hands over to the series
+        for x in (6.5, 7.25, 7.999999, 8.0, 8.5):
+            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-14)
+            assert trigamma(x + 1.0) == pytest.approx(trigamma(x) - 1.0 / x**2, rel=1e-14)

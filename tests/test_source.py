@@ -1,6 +1,6 @@
 """Static checks on the package source, in place of a linter: every import
-is used, and every private module-level name is referenced somewhere in
-the package."""
+is used, every private module-level name is referenced somewhere in the
+package, and no module imports scipy.optimize."""
 
 import ast
 from pathlib import Path
@@ -67,3 +67,14 @@ def test_private_module_names_referenced():
                              if name.startswith("_") and not name.startswith("__")
                              and name not in referenced]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_scipy_optimize(module):
+    imported = []
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    assert not [name for name in imported if name.startswith("scipy.optimize")]

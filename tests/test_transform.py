@@ -17,6 +17,8 @@ from matrixbs.transform import (
     jacobian_fd_oracle,
     jacobian_report,
     jacobian_sv_form,
+    log_abs_gfactor,
+    log_gfactor_slope,
 )
 
 from conftest import rand_spd
@@ -240,3 +242,18 @@ class TestJacobians:
         p = scalar_params(n=2)
         rep = jacobian_report([[0.5], [0.0]], p)
         assert rep.sign == -1
+
+
+class TestGfactorSlope:
+    @pytest.mark.parametrize("n,m", [(1, 1), (4, 1), (2, 2), (6, 2), (3, 3), (8, 3)])
+    def test_central_difference_in_log_beta(self, n, m, rng):
+        # deltas are the eigenvalues of T / beta: moving ln beta by h divides them by e^h
+        deltas = 1.0 + rng.uniform(0.05, 3.0, size=(7, m))
+
+        def log_g(h):
+            return log_abs_gfactor(deltas * math.exp(-h), n, m, total=True)[0]
+
+        h = 1e-5
+        slope, scale = log_gfactor_slope(deltas, n, m)
+        assert slope == pytest.approx((log_g(h) - log_g(-h)) / (2 * h), rel=1e-7, abs=1e-9)
+        assert scale >= abs(slope) * (1.0 - 1e-14)  # a sum of the terms' magnitudes
