@@ -106,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", help="comma-separated Kotz powers"
                                     " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)")
     p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
-    p.add_argument("--jobs", type=_POSITIVE, help="parallel workers for grid rows, at most"
-                                                " one per row and per CPU (default 1)")
 
     p = sub.add_parser("validate", help="run the oracle cross-check suite")
     add_common(p)
@@ -246,9 +244,7 @@ def _cmd_compare(args) -> int:
             raise UsageError("--s-grid must be comma-separated numbers")
     else:
         grid = list(DEFAULT_S_GRID)
-    profile = profile_s_grid(batch, grid, args.n,
-                             spec=_fit_spec(args, KOTZ),
-                             jobs=args.jobs or 1)
+    profile = profile_s_grid(batch, grid, args.n, spec=_fit_spec(args, KOTZ))
     _emit(args, dataio.format_profile_table(profile), dataio.profile_to_dict(profile))
     return 0
 

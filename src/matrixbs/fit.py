@@ -21,13 +21,12 @@ closed form,
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
 is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  At
 fixed beta a joint Newton solve maximises over M = Xi^{-2} and q (see
-_KotzProfile), each from the previous solution; the first starts from the
-better of the moment guess and the Gaussian optimum, both at q = 1.  A fit
-that ends at the bottom of the range, at the cap on q, or for m = 1 at
-beta_max with q < (3 - n)/2, where the likelihood is unbounded, is not
-converged.  profile_s_grid computes the moment guess and the Gaussian
-optimum once for every power.  Both fits are deterministic: the seed is
-only recorded.
+_KotzProfile), each from the previous one; the first from the better of
+the moment guess and the Gaussian optimum, scored after a radial step at
+q = 1.  A fit that ends at the bottom of the range, at the cap on q, or
+for m = 1 at beta_max with q < (3 - n)/2, where the likelihood is
+unbounded, is not converged.  profile_s_grid fits its powers together, one
+batched (M, q) solve per search round.  Both fits are deterministic.
 
 Model comparison uses the modified criterion
 
@@ -42,11 +41,8 @@ Weak / Positive / Strong / VeryStrong at thresholds 2, 6 and 10.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -313,11 +309,11 @@ def _log_beta_slope(prep: _Prepared, n: int, beta: float, tT, tI, dh) -> float:
     return 0.0 if abs(slope) <= SLOPE_RTOL * scale else slope
 
 
-def _search_log_beta(prep: _Prepared, slope_at, x: float, g: float, max_iter: int):
+def _search_log_beta(prep: _Prepared, x: float, g: float, max_iter: int):
     """Find the maximum of a profile likelihood in x = ln beta as the zero of
-    its slope, from x with slope g; slope_at(beta) gives the slope, 0.0
-    where it is zero to rounding and nan where the profile is -inf, which
-    counts as past the maximum.
+    its slope, from x with slope g.  A generator: it yields each beta to
+    evaluate and is sent the slope there, 0.0 where it is zero to rounding
+    and nan where the profile is -inf, which counts as past the maximum.
 
     It steps uphill, by STEP0 and then by secant steps of at most four
     times the last, until the slope changes sign or a bound is reached.  A
@@ -375,8 +371,18 @@ def _search_log_beta(prep: _Prepared, slope_at, x: float, g: float, max_iter: in
             x_next = min(max(x + math.copysign(0.5 * XATOL, g), bottom), top)
         step = max(abs(x_next - x), 0.5 * XATOL)
         x_prev, g_prev, x = x, g, x_next
-        g = slope_at(beta_of(x))
+        g = yield beta_of(x)
         evals += 1
+
+
+def _drive(search, slope_at):
+    """Run one search to its end, answering each beta with slope_at(beta)."""
+    try:
+        beta = next(search)
+        while True:
+            beta = search.send(slope_at(beta))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
@@ -399,15 +405,16 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
                                float(np.vdot(M, sum_inv)), -0.5)
 
     x = math.log(prep.beta_max) - STEP0
-    beta, evals, _, success = _search_log_beta(prep, slope_at, x, slope_at(math.exp(x)),
-                                               spec.max_iter)
+    beta, evals, _, success = _drive(
+        _search_log_beta(prep, x, slope_at(math.exp(x)), spec.max_iter), slope_at)
     w, P = spectrum(beta)
     xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
     return _result(prep, spec, n, beta, xi, success, evals + 1)
 
 
 class _KotzProfile:
-    """Kotz log-likelihood at fixed beta, maximised over M = Xi^{-2} and q.
+    """Kotz log-likelihood at fixed beta, maximised over M = Xi^{-2} and q,
+    for one fixed power s per row.
 
     M is held as theta, its upper triangle.  With A_k = T_k / beta +
     beta T_k^{-1} - 2 I, u_k = tr(M A_k) is linear in theta, and with
@@ -417,12 +424,11 @@ class _KotzProfile:
 
     for q_floor = (2 - nm)/2 < q <= q_cap.  In M its maximum solves the
     elliptical scatter equations (Kent & Tyler 1991); in q it is concave.
-    It keeps one solution, (beta, theta, q, converged); called with beta,
-    it solves from that one, keeps the new one if finite and returns the
-    profile's slope in ln beta there.
+    It keeps one solution per row, (beta, theta, q, converged), and steps
+    all rows of a solve in one batch, each row's arithmetic its own.
     """
 
-    def __init__(self, prep: _Prepared, n: int, s: float):
+    def __init__(self, prep: _Prepared, n: int, s):
         K, m = prep.K, prep.m
         rows, cols = np.triu_indices(m)
         p = len(rows)
@@ -430,144 +436,195 @@ class _KotzProfile:
         dup = np.zeros((m * m, p))
         dup[rows * m + cols, np.arange(p)] = 1.0
         dup[cols * m + rows, np.arange(p)] = 1.0
-        self.prep, self.n, self.s, self.dup = prep, n, s, dup
+        self.prep, self.n, self.s, self.dup = prep, n, np.atleast_1d(np.asarray(s, float)), dup
         self.t_flat, self.inv_flat = prep.flat @ dup   # (K, p) each
         self.eye = (rows == cols).astype(float)         # vec(I) @ dup
         self.half_kn = 0.5 * K * n
         self.q_floor = (2.0 - n * m) / 2.0
         self.q_cap = self.q_floor + math.exp(LOG_Q_CAP)
-        self.beta, self.converged = prep.beta_max, False
-        self.theta, self.q = self.theta_of(np.eye(m)), 1.0
+        R = len(self.s)
+        self.beta, self.converged = np.full(R, prep.beta_max), np.zeros(R, dtype=bool)
+        self.theta, self.q = np.tile(self.theta_of(np.eye(m)), (R, 1)), np.ones(R)
 
     def theta_of(self, xi: np.ndarray) -> np.ndarray:
         return sym_part(np.linalg.inv(xi @ xi))[np.triu_indices(self.prep.m)]
 
     def matrix(self, theta: np.ndarray) -> np.ndarray:
-        m = self.prep.m
-        return (self.dup @ theta).reshape(m, m)
+        """M per row of theta; non-finite entries read 0 (the row is infeasible)."""
+        M = theta[..., self.dup.argmax(axis=1)].reshape(theta.shape[:-1] + 2 * (self.prep.m,))
+        return np.where(np.isfinite(M), M, 0.0)
 
-    def _part(self, theta, q, A) -> float:
-        """The varying part; -inf unless M is positive definite and q > q_floor."""
-        if q <= self.q_floor:
-            return -math.inf
-        try:
-            L = np.linalg.cholesky(self.matrix(theta))
-        except np.linalg.LinAlgError:
-            return -math.inf
-        u = A @ theta
-        a = (2.0 * q + self.n * self.prep.m - 2.0) / (2.0 * self.s)
-        value = (self.prep.K * (a * math.log(KOTZ_R) - math.lgamma(a))
-                 + 2.0 * self.half_kn * np.log(np.diag(L)).sum()
-                 + (q - 1.0) * np.sum(np.log(u)) - KOTZ_R * np.sum(u ** self.s))
-        return float(value) if math.isfinite(value) else -math.inf
+    def _part(self, theta, q, s, A):
+        """The varying part per row; -inf unless M is positive definite and q > q_floor."""
+        w = np.linalg.eigvalsh(self.matrix(theta))
+        feasible = (w[:, 0] > 0.0) & (q > self.q_floor)
+        log_u = np.log((A @ theta[:, :, None])[:, :, 0])
+        a = (2.0 * q + self.n * self.prep.m - 2.0) / (2.0 * s)
+        norm = a * math.log(KOTZ_R) - np.array([math.lgamma(x) for x in np.where(feasible, a, 1)])
+        value = (self.prep.K * norm + self.half_kn * np.log(w).sum(axis=1)
+                 + (q - 1.0) * log_u.sum(axis=1) - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1))
+        return np.where(feasible & np.isfinite(value), value, -np.inf)
 
-    def __call__(self, beta: float) -> float:
-        """Solve at beta from the kept solution, keep the new one if finite,
-        and return the profile's slope in ln beta there."""
-        value, theta, q, converged = self.solve(beta, self.q, self.theta)
-        if value == -math.inf:
-            return math.nan
-        self.beta, self.theta, self.q, self.converged = beta, theta, q, converged
-        return self.slope()
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def __call__(self, beta, rows=None) -> np.ndarray:
+        """Solve rows (all by default) at beta from their kept solutions,
+        keep each new one that is finite and return the profile's slopes in
+        ln beta there, nan where the solve failed."""
+        rows = np.arange(len(self.s)) if rows is None else rows
+        beta = np.broadcast_to(np.asarray(beta, dtype=float), rows.shape)
+        A, theta, q, converged = self._newton(beta, self.q[rows], self.theta[rows], rows)
+        ok = self._part(theta, q, self.s[rows], A) > -np.inf  # the search needs no full value
+        kept, theta, q, s = rows[ok], theta[ok], q[ok], self.s[rows[ok]]
+        self.beta[kept] = beta = beta[ok]
+        self.theta[kept], self.q[kept], self.converged[kept] = theta, q, converged[ok]
+        tT, tI = ((flat @ theta[:, :, None])[:, :, 0] for flat in (self.t_flat, self.inv_flat))
+        u = tT / beta[:, None] + beta[:, None] * tI - 2.0 * (theta * self.eye).sum(axis=1)[:, None]
+        dh = (q - 1.0)[:, None] / u - (KOTZ_R * s)[:, None] * np.exp(s[:, None] * np.log(u)) / u
+        slope = np.full(rows.shape, np.nan)
+        slope[ok] = [_log_beta_slope(self.prep, self.n, *row) for row in zip(beta, tT, tI, dh)]
+        return slope
 
-    def slope(self) -> float:
-        """The slope in ln beta at the kept solution."""
-        beta, theta, q, s = self.beta, self.theta, self.q, self.s
-        tT, tI = self.t_flat @ theta, self.inv_flat @ theta
-        u = tT / beta + beta * tI - 2.0 * (self.eye @ theta)
-        dh = (q - 1.0) / u - KOTZ_R * s * u ** (s - 1.0)
-        return _log_beta_slope(self.prep, self.n, beta, tT, tI, dh)
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def solve(self, beta, q, theta, rows=None):
+        """Maximise over (M, q) from (theta, q) at beta, for rows (all by
+        default), against which the arguments broadcast.  Returns per row
+        the log-likelihood (-inf where not finite), theta, q and converged."""
+        rows = np.arange(len(self.s)) if rows is None else rows
+        m, n, prep, s = self.prep.m, self.n, self.prep, self.s[rows]
+        beta, q = (np.array(np.broadcast_to(v, rows.shape), dtype=float) for v in (beta, q))
+        theta = np.array(np.broadcast_to(theta, (*rows.shape, len(self.eye))), dtype=float)
+        A, theta, q, converged = self._newton(beta, q, theta, rows)
+        u = np.maximum((A @ theta[:, :, None])[:, :, 0], 0.0)
+        logdet = np.linalg.slogdet(self.matrix(theta))[1]
+        value = np.array([
+            log_t_density(prep.lam / b, u_r, prep.sum_log_lam, n, m * math.log(b), -0.5 * ld,
+                          kotz_kernel(q_r, KOTZ_R, s_r, n, m), Convention.AS_PUBLISHED, total=True)
+            for b, u_r, ld, q_r, s_r in zip(beta, u, logdet, q, s)])
+        return np.where(np.isfinite(value), value, -np.inf), theta, q, converged
 
-    def solve(self, beta: float, q: float, theta: np.ndarray):
-        """Maximise over (M, q) from (theta, q).  Returns (log-likelihood,
-        theta, q, converged)."""
-        m, s = self.prep.m, self.s
-        A = self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            theta, q, converged = self._newton(A, q, theta)
-        value = log_t_density(self.prep.lam / beta, np.maximum(A @ theta, 0.0),
-                              self.prep.sum_log_lam, self.n, m * math.log(beta),
-                              -0.5 * float(np.linalg.slogdet(self.matrix(theta))[1]),
-                              kotz_kernel(q, KOTZ_R, s, self.n, m),
-                              Convention.AS_PUBLISHED, total=True)
-        return (value if math.isfinite(value) else -math.inf), theta, q, converged
-
-    def _newton(self, A, q, theta):
-        """Each step rescales M along its ray in closed form, then takes a
-        joint Newton step over (theta, q) with the Hessian flipped to
-        negative definite, halved until M stays SPD, q stays above q_floor
-        and the value rises (the last step only needs the first two); q is
-        clipped at q_cap."""
-        K, m, s, r = self.prep.K, self.prep.m, self.s, KOTZ_R
-        dup, p = self.dup, len(theta)
-        hess = np.empty((p + 1, p + 1))
+    def _newton(self, beta, q, theta, rows):
+        """The stacks A_k at each beta of rows, and the solution there from
+        (theta, q).  Each step rescales M along its ray in closed form, then
+        takes a joint Newton step over (theta, q) with the Hessian flipped to
+        negative definite, halved until M stays SPD, q stays above q_floor and
+        the value rises (the last step only needs the first two); q is clipped
+        at q_cap.  A row stops at a step below INNER_TOL (converged), at a
+        non-finite one or once halving is spent."""
+        K, m, r, dup, p = self.prep.K, self.prep.m, KOTZ_R, self.dup, theta.shape[1]
+        s, b = self.s[rows], beta[:, None, None]
+        A = self.t_flat / b + b * self.inv_flat - 2.0 * self.eye
+        converged, live = np.zeros(len(q), dtype=bool), np.arange(len(q))
         for _ in range(INNER_STEPS):
-            a = (2.0 * q + self.n * m - 2.0) / (2.0 * s)
+            if not live.size:
+                break
+            A_l = A if live.size == len(q) else A[live]  # copied only once a row stops
+            th, q_l, s_l = theta[live], q[live], s[live]
+            a = (2.0 * q_l + self.n * m - 2.0) / (2.0 * s_l)
             # along M -> c M the maximum is at c^s = K a / (r sum_k u_k^s)
-            theta = theta * (K * a / (r * np.sum((A @ theta) ** s))) ** (1.0 / s)
-            u = A @ theta
-            W = np.linalg.inv(self.matrix(theta))
+            u_s = np.exp(s_l[:, None] * np.log((A_l @ th[:, :, None])[:, :, 0])).sum(axis=1)
+            th = th * ((K * a / (r * u_s)) ** (1.0 / s_l))[:, None]
+            u = (A_l @ th[:, :, None])[:, :, 0]
+            log_u = np.log(u)
+            u_s = np.exp(s_l[:, None] * log_u)
+            w, P = np.linalg.eigh(self.matrix(th))
+            W = (P / w[:, None, :]) @ np.swapaxes(P, 1, 2)
             # first and second derivatives of (q - 1) ln u - r u^s in u
-            d1 = (q - 1.0) / u - r * s * u ** (s - 1.0)
-            d2 = -(q - 1.0) / u ** 2 - r * s * (s - 1.0) * u ** (s - 2.0)
-            grad = np.append(self.half_kn * (W.ravel() @ dup) + d1 @ A,
-                             K * (math.log(r) - digamma(a)) / s + np.sum(np.log(u)))
+            d1 = (q_l - 1.0)[:, None] / u - (r * s_l)[:, None] * u_s / u
+            d2 = -(q_l - 1.0)[:, None] / u ** 2 - (r * s_l * (s_l - 1.0))[:, None] * u_s / u ** 2
+            grad = np.column_stack([
+                self.half_kn * (W.reshape(-1, m * m) @ dup) + (d1[:, None, :] @ A_l)[:, 0],
+                K * (math.log(r) - np.array([digamma(x) for x in a])) / s_l + log_u.sum(axis=1)])
             # d^2 ln|M| in directions E, F is -tr(W E W F): the Kronecker W x W
-            kron = np.multiply.outer(W, W).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-            hess[:p, :p] = (A.T * d2) @ A - self.half_kn * (dup.T @ kron @ dup)
-            hess[:p, p] = hess[p, :p] = (1.0 / u) @ A
-            hess[p, p] = -K * trigamma(a) / s ** 2
+            kron = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, m * m, m * m)
+            hess = np.empty((live.size, p + 1, p + 1))
+            hess[:, :p, :p] = ((np.swapaxes(A_l, 1, 2) * d2[:, None, :]) @ A_l
+                               - self.half_kn * (dup.T @ kron @ dup))
+            hess[:, :p, p] = hess[:, p, :p] = ((1.0 / u)[:, None, :] @ A_l)[:, 0]
+            hess[:, p, p] = -K * np.array([trigamma(x) for x in a]) / s_l ** 2
             # scaled to a unit diagonal: at small beta theta is 1e12 times finer than q
-            d = 1.0 / np.sqrt(np.abs(np.diag(hess)))
-            w, P = np.linalg.eigh(hess * np.outer(d, d))
-            w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())
-            step = d * (P @ ((grad * d @ P) / w))
-            decrement = float(grad @ step)
-            if not math.isfinite(decrement):
-                return theta, q, False
-            value = self._part(theta, q, A)
+            d = 1.0 / np.sqrt(np.abs(np.diagonal(hess, axis1=1, axis2=2)))
+            hess = hess * (d[:, :, None] * d[:, None, :])
+            finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad * d).all(axis=1)
+            w, P = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(p + 1)))
+            w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
+            step = d * (P @ (((grad * d)[:, None, :] @ P)[:, 0] / w)[:, :, None])[:, :, 0]
+            decrement = np.where(finite, (grad * step).sum(axis=1), np.nan)
+            value = self._part(th, q_l, s_l, A_l)
             # a fall within rounding; a step whose predicted rise is itself
             # below INNER_TOL, within the value's rounding, needs only stay feasible
-            floor = (-math.inf if decrement <= INNER_TOL
-                     else value - 1e-14 * max(1.0, abs(value)))
+            small = decrement <= INNER_TOL
+            floor = np.where(small, -np.inf, value - 1e-14 * np.maximum(1.0, np.abs(value)))
+            trying = np.isfinite(decrement)
             for _ in range(30):
-                q_next = min(q + step[p], self.q_cap)
-                if self._part(theta + step[:p], q_next, A) > floor:
-                    theta, q = theta + step[:p], q_next
+                q_next = np.minimum(q_l + step[:, p], self.q_cap)
+                rose = trying & (self._part(th + step[:, :p], q_next, s_l, A_l) > floor)
+                th[rose], q_l[rose] = th[rose] + step[rose, :p], q_next[rose]
+                trying &= ~rose
+                if not trying.any():
                     break
-                step = 0.5 * step
-            else:
-                return theta, q, decrement <= INNER_TOL
-            if decrement <= INNER_TOL:
-                return theta, q, True
-        return theta, q, False
+                step[trying] *= 0.5
+            theta[live], q[live], converged[live] = th, q_l, small
+            live = live[np.isfinite(decrement) & ~small & ~trying]
+        return A, theta, q, converged
 
 
-def _fit_kotz(prep: _Prepared, spec: FitSpec, n: int, guess: InitialGuess,
-              gauss: FitResult) -> FitResult:
-    """The slope search in ln beta, a joint Newton solve over (M, q) at each
-    beta, with r pinned at KOTZ_R; iterations counts the (M, q) solves, the
-    two starts included."""
-    profile = _KotzProfile(prep, n, spec.s)
-    # the better of two starts at q = 1 seeds the search
-    starts = [(beta0, *profile.solve(beta0, 1.0, profile.theta_of(xi0)))
-              for beta0, xi0 in ((min(guess.beta0, 0.9 * prep.beta_max), guess.xi0),
-                                 (gauss.beta, gauss.xi))]
-    profile.beta, _, profile.theta, profile.q, profile.converged = max(
-        starts, key=lambda start: start[1])
-    _, evals, end, success = _search_log_beta(prep, profile, math.log(profile.beta),
-                                              profile.slope(), spec.max_iter)
-    # the search ends at its last solve; if that one failed, at the last finite one
-    beta, q = profile.beta, profile.q
-    w, P = np.linalg.eigh(profile.matrix(profile.theta))
-    xi = sym_part((P / np.sqrt(w)) @ P.T)
-    # none is a maximum: at the cap on q the likelihood still rose, at the
-    # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
-    unbounded = prep.m == 1 and end == 1 and q < (3.0 - n) / 2.0
-    converged = bool(success and profile.converged and q < profile.q_cap
-                     and end != -1 and not unbounded)
-    # profile solves: the two starts and the search's
-    return _result(prep, spec, n, beta, xi, converged, len(starts) + evals, q)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _start_score(prep: _Prepared, n: int, s: float, beta: float, xi: np.ndarray) -> float:
+    """The log-likelihood at q = 1 after the radial step along M -> c M
+    that a Kotz solve from (beta, Xi) takes first."""
+    M = np.linalg.inv(xi @ xi)
+    tT, tI = prep.flat @ M.ravel()
+    u = tT / beta + beta * tI - 2.0 * np.trace(M)
+    c = (prep.K * prep.m * n / (2.0 * s) / (KOTZ_R * np.sum(u ** s))) ** (1.0 / s)
+    kernel, finite = kotz_kernel(1.0, KOTZ_R, s, n, prep.m), 0.0 < c < math.inf
+    return _loglik_prepared(prep, n, beta, xi / math.sqrt(c), kernel) if finite else -math.inf
+
+
+def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess,
+              gauss: FitResult) -> list[FitResult]:
+    """One Kotz fit per spec, r pinned at KOTZ_R, in lockstep: each round
+    solves (M, q) in one batch for every power whose search in ln beta waits.
+    Each starts from the better start by _start_score; iterations counts its
+    solves.  A start solve that is not finite raises DomainError; a later
+    one that fails ends its row at its last finite solution, not converged."""
+    profile = _KotzProfile(prep, n, [spec.s for spec in specs])
+    starts = [(min(guess.beta0, 0.9 * prep.beta_max), guess.xi0), (gauss.beta, gauss.xi)]
+    pick = np.array([int(not _start_score(prep, n, spec.s, *starts[0])
+                         > _start_score(prep, n, spec.s, *starts[1])) for spec in specs], int)
+    beta = np.array([b for b, _ in starts])[pick]
+    profile.theta = np.array([profile.theta_of(xi) for _, xi in starts])[pick]
+    slopes = profile(beta)
+    for spec, g in zip(specs, slopes):
+        if math.isnan(g):
+            raise DomainError(f"Kotz power s={spec.s:g}: no finite likelihood at its start")
+    searches = [_search_log_beta(prep, math.log(b), g, spec.max_iter)
+                for b, g, spec in zip(beta, slopes, specs)]
+    solves, ends = np.ones(len(specs), dtype=int), [(0, False)] * len(specs)
+    sends = dict.fromkeys(range(len(specs)))  # row -> the slope its search is sent next
+    while sends:
+        asked = {}                            # row -> the beta its search waits on
+        for i, g in sends.items():
+            try:
+                asked[i] = searches[i].send(g)
+            except StopIteration as stop:
+                ends[i] = stop.value[2:]      # (end, success)
+        rows = np.fromiter(asked, dtype=np.intp, count=len(asked))
+        solves[rows] += 1
+        slopes = profile(list(asked.values()), rows) if asked else []
+        sends = {i: g for i, g in zip(asked, slopes) if not math.isnan(g)}
+    fits = []
+    for i, spec in enumerate(specs):
+        (end, success), q = ends[i], float(profile.q[i])
+        w, P = np.linalg.eigh(profile.matrix(profile.theta[i]))
+        xi = sym_part((P / np.sqrt(w)) @ P.T)
+        # none is a maximum: at the cap on q the likelihood still rose, at the
+        # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
+        unbounded = prep.m == 1 and end == 1 and q < (3.0 - n) / 2.0
+        converged = bool(success and profile.converged[i] and q < profile.q_cap
+                         and end != -1 and not unbounded)
+        fits.append(_result(prep, spec, n, float(profile.beta[i]), xi, converged,
+                            int(solves[i]), q))
+    return fits
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
@@ -583,7 +640,7 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
         raise DomainError("fitting needs at least two observations")
     gauss = _fit_gaussian(prep, replace(spec, family=GAUSSIAN), n)
     if spec.family == KOTZ:
-        return _fit_kotz(prep, spec, n, init_guess(mats, n), gauss)
+        return _fit_kotz(prep, [spec], n, init_guess(mats, n), gauss)[0]
     return gauss
 
 
@@ -614,35 +671,21 @@ class ProfileResult:
 
 
 def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
-                   spec: FitSpec | None = None, jobs: int = 1) -> ProfileResult:
+                   spec: FitSpec | None = None) -> ProfileResult:
     """Fit the Gaussian baseline once, then one Kotz model per fixed s.
 
-    The data are prepared, and the moment guess and the Gaussian optimum
-    computed, once; every Kotz search starts from the better of the two,
-    both at q = 1.  Rows that hit the iteration budget are kept with their
-    converged flag down; the table is always emitted in full.  jobs > 1
-    fits the rows in up to that many worker processes, never more than
-    there are rows or CPUs.
+    The data, the moment guess and the Gaussian optimum are prepared once,
+    and the powers are fitted together, each from one start (_fit_kotz): a
+    row equals fit_mle at its power bit for bit.  Rows that spend the
+    iteration budget are kept flagged; the table is always emitted in full.
     """
-    mats = _as_stack(data)
-    s_values = [float(s) for s in s_values]
-    if not all(0.0 < s < math.inf for s in s_values):
-        raise DomainError("all grid powers must be positive and finite")
-    base = spec if spec is not None else FitSpec()
+    mats, base = _as_stack(data), spec if spec is not None else FitSpec()
+    # FitSpec raises for a power that is not positive and finite
+    specs = [replace(base, family=KOTZ, s=float(s)) for s in s_values]
     prep = _Prepared(mats)
     guess = init_guess(mats, n)  # raises for fewer than two observations
     gauss = _fit_gaussian(prep, replace(base, family=GAUSSIAN), n)
-    row = functools.partial(_fit_kotz, prep, n=n, guess=guess, gauss=gauss)
-    specs = [replace(base, family=KOTZ, s=s) for s in s_values]
-    workers = min(jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(row, specs))
-    else:
-        fits = list(map(row, specs))
-    rows = []
-    for s, fit in zip(s_values, fits):
-        diff = fit.bic_star - gauss.bic_star
-        rows.append(ProfileRow(s=s, fit=fit, bic_diff=diff,
-                               grade=evidence_grade(abs(diff))))
-    return ProfileResult(baseline=gauss, rows=rows)
+    fits = _fit_kotz(prep, specs, n, guess, gauss)
+    return ProfileResult(baseline=gauss, rows=[
+        ProfileRow(s=fit.s, fit=fit, bic_diff=diff, grade=evidence_grade(abs(diff)))
+        for fit, diff in ((fit, fit.bic_star - gauss.bic_star) for fit in fits)])

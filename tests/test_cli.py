@@ -293,10 +293,7 @@ class TestConfig:
         ("sample", "--n", "0", "--m", "2", "--count", "3", "--seed", "1"),
         ("fit", "--family", "kotz", "--s", "1", "--n", "6", "--seed", "-1"),
         ("validate", "--seed", "-1"),
-        ("compare", "--n", "6", "--jobs", "0"),
-        ("compare", "--n", "6", "--jobs", "-1"),
-    ], ids=["sample-seed", "sample-m", "sample-count", "sample-n", "fit-seed", "validate-seed",
-            "compare-jobs-zero", "compare-jobs-negative"])
+    ], ids=["sample-seed", "sample-m", "sample-count", "sample-n", "fit-seed", "validate-seed"])
     def test_out_of_range_integers_exit_two(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(tmp_path / "x.csv"))
@@ -326,6 +323,37 @@ class TestConfig:
             assert run(command, "--config", str(cfg), "--data", str(pop_csv), "--n", "6") == 2
             assert key in capsys.readouterr().err
 
+    def test_removed_jobs_exit_two(self, pop_csv, tmp_path, capsys):
+        # the grid's rows are fitted together in process: there are no workers
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--data", str(pop_csv), "--n", "6", "--jobs", "2")
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
+        assert run("compare", "--config", str(cfg), "--data", str(pop_csv), "--n", "6") == 2
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,power", [
+        (("fit", "--family", "kotz", "--s", "0.01"), "0.01"),
+        (("fit", "--family", "kotz", "--s", "1000"), "1000"),
+        (("compare", "--s-grid", "300"), "300"),
+    ])
+    def test_extreme_power_exits_two(self, argv, power, tmp_path):
+        # a power whose likelihood overflows at the start of its fit is a
+        # data error naming the power, not a numpy traceback
+        data = Path(__file__).resolve().parent / "data" / "paper_k20_round1_popB.csv"
+        out = tmp_path / "out.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "matrixbs.cli", *argv, "--data", str(data),
+                               "--n", "6", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert f"s={power}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")
@@ -333,8 +361,10 @@ class TestConfig:
 
 
 def test_cli_import_skips_optimizer_and_validation():
+    # nor a process pool: the grid's rows are one batched solve
     code = ("import sys, matrixbs.cli; print(sorted(m for m in sys.modules"
-            " if m == 'matrixbs.validate' or m.split('.')[0] == 'scipy'))")
+            " if m in ('matrixbs.validate', 'concurrent.futures.process')"
+            " or m.split('.')[0] in ('scipy', 'multiprocessing')))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
