@@ -52,8 +52,8 @@ def _int_at_least(low: int):
 
 _SEED = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
-MAX_ITER_HELP = ("evaluation budget of the search in log beta, on the likelihood's slope,"
-                 " that fits either family (default 5000)")
+MAX_ITER_HELP = ("Newton-step budget of a Kotz fit, and evaluation budget of the Gaussian"
+                 " fit's search in log beta on the likelihood's slope (default 5000)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

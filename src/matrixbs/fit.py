@@ -9,24 +9,20 @@ observation then lies in the branch region, the support of the sampler's
 law, under either convention.  For n > m the likelihood is -inf beyond
 it; for n = m it stays finite there, but that is not the sampled law.
 
-Both fits search beta alone, for the zero of the profile likelihood's
-slope in ln beta over [beta_max / 1e6, beta_max], below which the
-likelihood is flat (_search_log_beta).  By the envelope theorem that slope
-is the partial derivative in ln beta at the maximising shape (and q), one
-more pass over the cached traces.  Gaussian: at fixed beta the shape is in
-closed form,
+Gaussian: at fixed beta the shape is in closed form,
 
-    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I.
+    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I,
+
+so the fit searches beta alone, for the zero of the profile likelihood's
+slope in ln beta over [beta_max / 1e6, beta_max], below which the
+likelihood is flat (_search_log_beta).
 
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
-is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  At
-fixed beta a joint Newton solve maximises over M = Xi^{-2} and q (see
-_KotzProfile), each from the previous one; the first from the better of
-the moment guess and the Gaussian optimum, scored after a radial step at
-q = 1.  A fit that ends at the bottom of the range, at the cap on q, or
-for m = 1 at beta_max with q < (3 - n)/2, where the likelihood is
-unbounded, is not converged.  profile_s_grid fits its powers together, one
-batched (M, q) solve per search round.  Both fits are deterministic.
+is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  One
+Newton solve over (ln beta, M = Xi^{-2}, q), on the same range of beta,
+fits every power of a grid in one batch (_KotzProfile).  A fit held at the
+bottom of the range, at the cap on q, or for m = 1 at beta_max with
+q < (3 - n)/2, where the likelihood is unbounded, is not converged.
 
 Model comparison uses the modified criterion
 
@@ -52,7 +48,7 @@ from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
 from .linalg import check_spd, digamma, sym_part, trigamma
 from .sampling import SampleBatch
-from .transform import log_gfactor_slope
+from .transform import log_abs_gfactor, log_gfactor_slope
 
 __all__ = ["EvidenceGrade", "FitResult", "FitSpec", "InitialGuess", "ProfileRow",
            "ProfileResult", "bic_star", "evidence_grade", "fit_mle", "init_guess",
@@ -66,24 +62,24 @@ BETA_MARGIN = 1.0 - 1e-6
 # the search covers log beta in [beta_max / BETA_RANGE, beta_max]; below it
 # the likelihood is flat, so a Kotz fit ending there is not converged
 BETA_RANGE = 1e6
-# the search's first step in ln beta, and where the Gaussian search starts
-# below ln beta_max; it stops once its bracket is below XATOL wide or the
-# profile's slope is below SLOPE_RTOL of the magnitudes of its terms
+# the Gaussian search's first step in ln beta, and where it starts below
+# ln beta_max; it stops once its bracket is below XATOL wide or the slope is
+# below SLOPE_RTOL of its terms' magnitudes.  Kotz steps snap to ln beta_max within XATOL
 STEP0 = 0.1
 XATOL = 1e-10
 SLOPE_RTOL = 1e-13
 # Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
 # and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
 KOTZ_R = 0.5
-# Newton steps per Kotz profile point, and the Newton decrement that ends them
-INNER_STEPS = 50
+# the Newton decrement that ends a Kotz solve
 INNER_TOL = 1e-10
 # the Kotz fit caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
 # terms of a K = 20 likelihood reach 1e15, and their rounding exceeds 0.1
 LOG_Q_CAP = 30.0
 
 
-def _as_stack(data) -> np.ndarray:
+def _as_stack(data, n: int | None = None) -> np.ndarray:
+    """The (K, m, m) stack of data, checked against degrees n if given."""
     if isinstance(data, SampleBatch):
         mats = data.matrices
     else:
@@ -92,6 +88,8 @@ def _as_stack(data) -> np.ndarray:
         mats = mats[None, :, :]
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DomainError(f"data must be a (K, m, m) stack, got shape {mats.shape}")
+    if n is not None and n < mats.shape[1]:
+        raise DomainError(f"need degrees n >= m, got n={n}, m={mats.shape[1]}")
     return mats
 
 
@@ -137,7 +135,7 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     degrees n > m, observations with an eigenvalue at or below beta are
     outside the branch support and pull the value to -inf.
     """
-    mats = _as_stack(data)
+    mats = _as_stack(data, n)
     prep = _Prepared(mats)
     xi = check_spd(xi, "xi")
     if xi.shape[0] != prep.m:
@@ -302,43 +300,39 @@ def _log_beta_slope(prep: _Prepared, n: int, beta: float, tT, tI, dh) -> float:
     log|G| as transform.log_gfactor_slope says.  By the envelope theorem it
     is the profile's slope when (Xi, q) maximise the likelihood at beta."""
     const = 0.5 * prep.K * n * prep.m
-    g_slope, g_scale = log_gfactor_slope(prep.lam / beta, n, prep.m)
+    g_slope, g_scale, _ = log_gfactor_slope(prep.lam / beta, n, prep.m)
     up, down = beta * tI, tT / beta
     slope = g_slope - const + float(np.sum(dh * (up - down)))
     scale = g_scale + const + float(np.sum(np.abs(dh) * (up + down)))
     return 0.0 if abs(slope) <= SLOPE_RTOL * scale else slope
 
 
-def _search_log_beta(prep: _Prepared, x: float, g: float, max_iter: int):
+def _search_log_beta(beta_max: float, x: float, slope_at, max_iter: int):
     """Find the maximum of a profile likelihood in x = ln beta as the zero of
-    its slope, from x with slope g.  A generator: it yields each beta to
-    evaluate and is sent the slope there, 0.0 where it is zero to rounding
-    and nan where the profile is -inf, which counts as past the maximum.
+    its slope, slope_at(beta), from x.  The slope is 0.0 where it is zero to
+    rounding and nan where the profile is -inf, past the maximum.
 
     It steps uphill, by STEP0 and then by secant steps of at most four
-    times the last, until the slope changes sign or a bound is reached.  A
-    step reaches beta_max only if the slope rose over the last one or the
-    secant puts its zero more than 8 times the remaining distance past the
-    top; else it goes halfway there.  Inside the bracket it takes secant steps
-    from the last two points, and bisects when one would leave the bracket
-    or not halve the last step.  It stops at a zero slope or once the
-    bracket is below XATOL wide.
-
-    Returns the beta evaluated last (beta_max itself at the top), the
-    number of evaluations, the end and success.  The end is 1 if the slope
-    is still positive at beta_max, -1 if still negative at the bottom of
-    the range (the flat tail), else 0.  Success is False once max_iter
-    evaluations are spent."""
-    top = math.log(prep.beta_max)
+    times the last, until the slope changes sign or a bound of
+    [beta_max / BETA_RANGE, beta_max] is reached.  A step reaches beta_max
+    only if the slope rose over the last one or the secant puts its zero
+    more than 8 times the remaining distance past the top; else it goes
+    halfway there.  Inside the bracket it takes secant steps, and bisects
+    when one would leave the bracket or not halve the last step.  It stops
+    at a zero slope, at a bound the slope points past, or once the bracket
+    is below XATOL wide.  Returns the beta evaluated last (beta_max itself
+    at the top), the number of evaluations and success, False once
+    max_iter evaluations after the first are spent."""
+    top = math.log(beta_max)
     bottom = top - math.log(BETA_RANGE)
 
     def beta_of(x):
-        return prep.beta_max if x == top else math.exp(x)
+        return beta_max if x == top else math.exp(x)
 
     lo = hi = None          # points known below and above the zero of the slope
     x_prev = g_prev = None
     step = STEP0
-    evals = 0
+    g, evals = slope_at(beta_of(x)), 1
     while True:
         if not math.isfinite(g):
             g = -math.inf if x_prev is None or x > x_prev else math.inf
@@ -346,10 +340,10 @@ def _search_log_beta(prep: _Prepared, x: float, g: float, max_iter: int):
             lo = x
         elif g < 0.0:
             hi = x
-        end = 1 if x == top and g > 0.0 else -1 if x == bottom and g < 0.0 else 0
-        done = g == 0.0 or end != 0 or (lo is not None and hi is not None and hi - lo <= XATOL)
-        if done or evals >= max_iter:
-            return beta_of(x), evals, end, done
+        done = (g == 0.0 or (x == top and g > 0.0) or (x == bottom and g < 0.0)
+                or (lo is not None and hi is not None and hi - lo <= XATOL))
+        if done or evals > max_iter:
+            return beta_of(x), evals, done
         secant = (-g * (x - x_prev) / (g - g_prev)
                   if x_prev is not None and math.isfinite(g - g_prev) and g != g_prev
                   else math.nan)
@@ -371,18 +365,7 @@ def _search_log_beta(prep: _Prepared, x: float, g: float, max_iter: int):
             x_next = min(max(x + math.copysign(0.5 * XATOL, g), bottom), top)
         step = max(abs(x_next - x), 0.5 * XATOL)
         x_prev, g_prev, x = x, g, x_next
-        g = yield beta_of(x)
-        evals += 1
-
-
-def _drive(search, slope_at):
-    """Run one search to its end, answering each beta with slope_at(beta)."""
-    try:
-        beta = next(search)
-        while True:
-            beta = search.send(slope_at(beta))
-    except StopIteration as stop:
-        return stop.value
+        g, evals = slope_at(beta_of(x)), evals + 1
 
 
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
@@ -404,47 +387,44 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
         return _log_beta_slope(prep, n, beta, float(np.vdot(M, sum_T)),
                                float(np.vdot(M, sum_inv)), -0.5)
 
-    x = math.log(prep.beta_max) - STEP0
-    beta, evals, _, success = _drive(
-        _search_log_beta(prep, x, slope_at(math.exp(x)), spec.max_iter), slope_at)
+    beta, evals, success = _search_log_beta(prep.beta_max, math.log(prep.beta_max) - STEP0,
+                                            slope_at, spec.max_iter)
     w, P = spectrum(beta)
     xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
-    return _result(prep, spec, n, beta, xi, success, evals + 1)
+    return _result(prep, spec, n, beta, xi, success, evals)
 
 
 class _KotzProfile:
-    """Kotz log-likelihood at fixed beta, maximised over M = Xi^{-2} and q,
-    for one fixed power s per row.
+    """The Kotz log-likelihood of one dataset over x = ln beta, M = Xi^{-2}
+    and q, r pinned at KOTZ_R, for a fixed power s per row, and its maximum.
 
-    M is held as theta, its upper triangle.  With A_k = T_k / beta +
-    beta T_k^{-1} - 2 I, u_k = tr(M A_k) is linear in theta, and with
-    a = (2q + nm - 2) / (2s) the part of the log-likelihood that varies is
+    M is held as theta, its upper triangle.  With A_k = e^-x T_k +
+    e^x T_k^{-1} - 2 I, u_k = tr(M A_k) is linear in theta, and with
+    a = (q - q_floor) / s, q_floor = (2 - nm)/2, the log-likelihood is, up to
+    a constant,
 
         K [a ln r - lgamma(a)] + (K n / 2) ln|M| + sum_k [(q - 1) ln u_k - r u_k^s]
+            - (K n m / 2) x + sum_k log|G(lambda_k e^-x)|
 
-    for q_floor = (2 - nm)/2 < q <= q_cap.  In M its maximum solves the
-    elliptical scatter equations (Kent & Tyler 1991); in q it is concave.
-    It keeps one solution per row, (beta, theta, q, converged), and steps
-    all rows of a solve in one batch, each row's arithmetic its own.
+    for q_floor < q <= q_cap.  In M its maximum solves the elliptical
+    scatter equations (Kent & Tyler 1991); in q it is concave.  All rows
+    are stepped in one batch, each row's arithmetic its own.
     """
 
-    def __init__(self, prep: _Prepared, n: int, s):
-        K, m = prep.K, prep.m
+    def __init__(self, prep: _Prepared, n: int):
+        m = prep.m
         rows, cols = np.triu_indices(m)
         p = len(rows)
         # dup @ theta = vec(M), so tr(M A) = (vec(A) @ dup) @ theta
         dup = np.zeros((m * m, p))
         dup[rows * m + cols, np.arange(p)] = 1.0
         dup[cols * m + rows, np.arange(p)] = 1.0
-        self.prep, self.n, self.s, self.dup = prep, n, np.atleast_1d(np.asarray(s, float)), dup
+        self.prep, self.n, self.dup = prep, n, dup
         self.t_flat, self.inv_flat = prep.flat @ dup   # (K, p) each
         self.eye = (rows == cols).astype(float)         # vec(I) @ dup
-        self.half_kn = 0.5 * K * n
+        self.half_kn = 0.5 * prep.K * n
         self.q_floor = (2.0 - n * m) / 2.0
         self.q_cap = self.q_floor + math.exp(LOG_Q_CAP)
-        R = len(self.s)
-        self.beta, self.converged = np.full(R, prep.beta_max), np.zeros(R, dtype=bool)
-        self.theta, self.q = np.tile(self.theta_of(np.eye(m)), (R, 1)), np.ones(R)
 
     def theta_of(self, xi: np.ndarray) -> np.ndarray:
         return sym_part(np.linalg.inv(xi @ xi))[np.triu_indices(self.prep.m)]
@@ -454,76 +434,64 @@ class _KotzProfile:
         M = theta[..., self.dup.argmax(axis=1)].reshape(theta.shape[:-1] + 2 * (self.prep.m,))
         return np.where(np.isfinite(M), M, 0.0)
 
-    def _part(self, theta, q, s, A):
-        """The varying part per row; -inf unless M is positive definite and q > q_floor."""
+    def stack(self, x):
+        """e^x per row, as (rows, 1, 1), and the (rows, K, p) stack of A_k @ dup at x."""
+        beta = np.exp(x)[:, None, None]
+        return beta, self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
+
+    def radial(self, s, A, theta, q):
+        """theta rescaled along M -> c M to its maximum at the stack A,
+        c^s = K a / (r sum_k u_k^s)."""
+        u_s = np.exp(s[:, None] * np.log((A @ theta[:, :, None])[:, :, 0]))
+        c = (self.prep.K * (q - self.q_floor) / s / (KOTZ_R * u_s.sum(axis=1))) ** (1.0 / s)
+        return theta * c[:, None]
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def value(self, s, x, theta, q):
+        """The log-likelihood per row up to a constant; -inf unless M is
+        positive definite and q > q_floor."""
+        prep, (beta, A) = self.prep, self.stack(x)
         w = np.linalg.eigvalsh(self.matrix(theta))
-        feasible = (w[:, 0] > 0.0) & (q > self.q_floor)
+        a = (q - self.q_floor) / s
+        feasible = (w[:, 0] > 0.0) & (a > 0.0)
         log_u = np.log((A @ theta[:, :, None])[:, :, 0])
-        a = (2.0 * q + self.n * self.prep.m - 2.0) / (2.0 * s)
-        norm = a * math.log(KOTZ_R) - np.array([math.lgamma(x) for x in np.where(feasible, a, 1)])
-        value = (self.prep.K * norm + self.half_kn * np.log(w).sum(axis=1)
-                 + (q - 1.0) * log_u.sum(axis=1) - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1))
+        norm = a * math.log(KOTZ_R) - np.array([math.lgamma(v) for v in np.where(feasible, a, 1)])
+        log_g, _ = log_abs_gfactor(prep.lam / beta, self.n, prep.m, total=True)
+        value = (prep.K * norm + self.half_kn * np.log(w).sum(axis=1)
+                 + (q - 1.0) * log_u.sum(axis=1) - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1)
+                 - self.half_kn * prep.m * x + log_g)
         return np.where(feasible & np.isfinite(value), value, -np.inf)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def __call__(self, beta, rows=None) -> np.ndarray:
-        """Solve rows (all by default) at beta from their kept solutions,
-        keep each new one that is finite and return the profile's slopes in
-        ln beta there, nan where the solve failed."""
-        rows = np.arange(len(self.s)) if rows is None else rows
-        beta = np.broadcast_to(np.asarray(beta, dtype=float), rows.shape)
-        A, theta, q, converged = self._newton(beta, self.q[rows], self.theta[rows], rows)
-        ok = self._part(theta, q, self.s[rows], A) > -np.inf  # the search needs no full value
-        kept, theta, q, s = rows[ok], theta[ok], q[ok], self.s[rows[ok]]
-        self.beta[kept] = beta = beta[ok]
-        self.theta[kept], self.q[kept], self.converged[kept] = theta, q, converged[ok]
-        tT, tI = ((flat @ theta[:, :, None])[:, :, 0] for flat in (self.t_flat, self.inv_flat))
-        u = tT / beta[:, None] + beta[:, None] * tI - 2.0 * (theta * self.eye).sum(axis=1)[:, None]
-        dh = (q - 1.0)[:, None] / u - (KOTZ_R * s)[:, None] * np.exp(s[:, None] * np.log(u)) / u
-        slope = np.full(rows.shape, np.nan)
-        slope[ok] = [_log_beta_slope(self.prep, self.n, *row) for row in zip(beta, tT, tI, dh)]
-        return slope
+    def newton(self, s, x, theta, q, x_lo, x_hi, budget):
+        """Maximise each row over (x, theta, q) from the given point, x within
+        [x_lo, x_hi]; equal bounds give the profile at one beta.
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def solve(self, beta, q, theta, rows=None):
-        """Maximise over (M, q) from (theta, q) at beta, for rows (all by
-        default), against which the arguments broadcast.  Returns per row
-        the log-likelihood (-inf where not finite), theta, q and converged."""
-        rows = np.arange(len(self.s)) if rows is None else rows
-        m, n, prep, s = self.prep.m, self.n, self.prep, self.s[rows]
-        beta, q = (np.array(np.broadcast_to(v, rows.shape), dtype=float) for v in (beta, q))
-        theta = np.array(np.broadcast_to(theta, (*rows.shape, len(self.eye))), dtype=float)
-        A, theta, q, converged = self._newton(beta, q, theta, rows)
-        u = np.maximum((A @ theta[:, :, None])[:, :, 0], 0.0)
-        logdet = np.linalg.slogdet(self.matrix(theta))[1]
-        value = np.array([
-            log_t_density(prep.lam / b, u_r, prep.sum_log_lam, n, m * math.log(b), -0.5 * ld,
-                          kotz_kernel(q_r, KOTZ_R, s_r, n, m), Convention.AS_PUBLISHED, total=True)
-            for b, u_r, ld, q_r, s_r in zip(beta, u, logdet, q, s)])
-        return np.where(np.isfinite(value), value, -np.inf), theta, q, converged
-
-    def _newton(self, beta, q, theta, rows):
-        """The stacks A_k at each beta of rows, and the solution there from
-        (theta, q).  Each step rescales M along its ray in closed form, then
-        takes a joint Newton step over (theta, q) with the Hessian flipped to
-        negative definite, halved until M stays SPD, q stays above q_floor and
-        the value rises (the last step only needs the first two); q is clipped
-        at q_cap.  A row stops at a step below INNER_TOL (converged), at a
-        non-finite one or once halving is spent."""
-        K, m, r, dup, p = self.prep.K, self.prep.m, KOTZ_R, self.dup, theta.shape[1]
-        s, b = self.s[rows], beta[:, None, None]
-        A = self.t_flat / b + b * self.inv_flat - 2.0 * self.eye
-        converged, live = np.zeros(len(q), dtype=bool), np.arange(len(q))
-        for _ in range(INNER_STEPS):
-            if not live.size:
-                break
-            A_l = A if live.size == len(q) else A[live]  # copied only once a row stops
-            th, q_l, s_l = theta[live], q[live], s[live]
-            a = (2.0 * q_l + self.n * m - 2.0) / (2.0 * s_l)
-            # along M -> c M the maximum is at c^s = K a / (r sum_k u_k^s)
-            u_s = np.exp(s_l[:, None] * np.log((A_l @ th[:, :, None])[:, :, 0])).sum(axis=1)
-            th = th * ((K * a / (r * u_s)) ** (1.0 / s_l))[:, None]
-            u = (A_l @ th[:, :, None])[:, :, 0]
+        Each step rescales M along its ray in closed form, then takes a joint
+        Newton step, its Hessian scaled to a unit diagonal and flipped to
+        negative definite, halved until M stays SPD, q > q_floor and the
+        value rises; q is clipped at q_cap.  x at a bound its slope points
+        past is held there, out of the system.  A step reaches x_hi only if
+        it overshoots it by more than 8 times the remaining distance, else it
+        goes halfway, snapping to x_hi within XATOL: for m = 1 the likelihood
+        can rise without bound towards beta_max past a maximum below it.  A
+        row stops, converged, at a Newton decrement of INNER_TOL or less, or
+        at a step that is not finite, once halving is spent or after budget
+        steps.  Returns per row x, theta, q, the steps taken, converged and
+        the slope in x at the last step."""
+        K, m, n, r, dup, p = self.prep.K, self.prep.m, self.n, KOTZ_R, self.dup, theta.shape[1]
+        x, theta, q = x.copy(), theta.copy(), q.copy()
+        steps, converged, slope = np.zeros(len(s), int), np.zeros(len(s), bool), np.zeros(len(s))
+        live = np.arange(len(s))
+        while live.size:
+            s_l, x_l, q_l, lo, hi = s[live], x[live], q[live], x_lo[live], x_hi[live]
+            beta, A = self.stack(x_l)
+            th = self.radial(s_l, A, theta[live], q_l)
+            a = (q_l - self.q_floor) / s_l
+            # dA / dx = e^x T^{-1} - e^-x T, and d^2 A / dx^2 = A + 2 I
+            dA = beta * self.inv_flat - self.t_flat / beta
+            u, du = ((B @ th[:, :, None])[:, :, 0] for B in (A, dA))
+            d2u = u + 2.0 * (th * self.eye).sum(axis=1)[:, None]
             log_u = np.log(u)
             u_s = np.exp(s_l[:, None] * log_u)
             w, P = np.linalg.eigh(self.matrix(th))
@@ -531,110 +499,111 @@ class _KotzProfile:
             # first and second derivatives of (q - 1) ln u - r u^s in u
             d1 = (q_l - 1.0)[:, None] / u - (r * s_l)[:, None] * u_s / u
             d2 = -(q_l - 1.0)[:, None] / u ** 2 - (r * s_l * (s_l - 1.0))[:, None] * u_s / u ** 2
+            g_slope, _, g_curv = log_gfactor_slope(self.prep.lam / beta, n, m)
             grad = np.column_stack([
-                self.half_kn * (W.reshape(-1, m * m) @ dup) + (d1[:, None, :] @ A_l)[:, 0],
-                K * (math.log(r) - np.array([digamma(x) for x in a])) / s_l + log_u.sum(axis=1)])
+                self.half_kn * (W.reshape(-1, m * m) @ dup) + (d1[:, None, :] @ A)[:, 0],
+                K * (math.log(r) - digamma(a)) / s_l + log_u.sum(axis=1),
+                g_slope - self.half_kn * m + (d1 * du).sum(axis=1)])
             # d^2 ln|M| in directions E, F is -tr(W E W F): the Kronecker W x W
             kron = (W[:, :, None, :, None] * W[:, None, :, None, :]).reshape(-1, m * m, m * m)
-            hess = np.empty((live.size, p + 1, p + 1))
-            hess[:, :p, :p] = ((np.swapaxes(A_l, 1, 2) * d2[:, None, :]) @ A_l
+            hess = np.empty((live.size, p + 2, p + 2))
+            hess[:, :p, :p] = ((np.swapaxes(A, 1, 2) * d2[:, None, :]) @ A
                                - self.half_kn * (dup.T @ kron @ dup))
-            hess[:, :p, p] = hess[:, p, :p] = ((1.0 / u)[:, None, :] @ A_l)[:, 0]
-            hess[:, p, p] = -K * np.array([trigamma(x) for x in a]) / s_l ** 2
+            hess[:, :p, p] = hess[:, p, :p] = ((1.0 / u)[:, None, :] @ A)[:, 0]
+            hess[:, p, p] = -K * trigamma(a) / s_l ** 2
+            hess[:, :p, p + 1] = hess[:, p + 1, :p] = ((d2 * du)[:, None, :] @ A
+                                                       + d1[:, None, :] @ dA)[:, 0]
+            hess[:, p, p + 1] = hess[:, p + 1, p] = (du / u).sum(axis=1)
+            hess[:, p + 1, p + 1] = g_curv + (d2 * du ** 2 + d1 * d2u).sum(axis=1)
+            held = np.where(grad[:, p + 1] > 0.0, x_l >= hi, x_l <= lo)
+            slope[live] = grad[:, p + 1]
+            grad[held, p + 1] = hess[held, p + 1, :] = hess[held, :, p + 1] = 0.0
+            hess[held, p + 1, p + 1] = -1.0
             # scaled to a unit diagonal: at small beta theta is 1e12 times finer than q
             d = 1.0 / np.sqrt(np.abs(np.diagonal(hess, axis1=1, axis2=2)))
             hess = hess * (d[:, :, None] * d[:, None, :])
-            finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad * d).all(axis=1)
-            w, P = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(p + 1)))
+            value = self.value(s_l, x_l, th, q_l)
+            finite = (np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad * d).all(axis=1)
+                      & np.isfinite(value))
+            w, P = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(p + 2)))
             w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
             step = d * (P @ (((grad * d)[:, None, :] @ P)[:, 0] / w)[:, :, None])[:, :, 0]
             decrement = np.where(finite, (grad * step).sum(axis=1), np.nan)
-            value = self._part(th, q_l, s_l, A_l)
+            step[held, p + 1] = 0.0
+            x_next = np.maximum(x_l + step[:, p + 1], lo)
+            top = (x_next >= hi) & ~(x_next - hi > 8.0 * (hi - x_l)) & (hi - x_l > XATOL)
+            x_next = np.where(top, 0.5 * (x_l + hi), np.minimum(x_next, hi))
+            # a step cut short in x is cut short along its whole direction
+            cut = np.where(step[:, p + 1] != 0.0, (x_next - x_l) / step[:, p + 1], 1.0)
+            step = step * cut[:, None]
+            step[:, p + 1] = x_next - x_l
             # a fall within rounding; a step whose predicted rise is itself
             # below INNER_TOL, within the value's rounding, needs only stay feasible
             small = decrement <= INNER_TOL
             floor = np.where(small, -np.inf, value - 1e-14 * np.maximum(1.0, np.abs(value)))
             trying = np.isfinite(decrement)
-            for _ in range(30):
+            for halvings in range(30):
                 q_next = np.minimum(q_l + step[:, p], self.q_cap)
-                rose = trying & (self._part(th + step[:, :p], q_next, s_l, A_l) > floor)
+                x_try = x_next if halvings == 0 else x_l + step[:, p + 1]
+                rose = trying & (self.value(s_l, x_try, th + step[:, :p], q_next) > floor)
                 th[rose], q_l[rose] = th[rose] + step[rose, :p], q_next[rose]
+                x_l[rose] = x_try[rose]
                 trying &= ~rose
                 if not trying.any():
                     break
                 step[trying] *= 0.5
-            theta[live], q[live], converged[live] = th, q_l, small
-            live = live[np.isfinite(decrement) & ~small & ~trying]
-        return A, theta, q, converged
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _start_score(prep: _Prepared, n: int, s: float, beta: float, xi: np.ndarray) -> float:
-    """The log-likelihood at q = 1 after the radial step along M -> c M
-    that a Kotz solve from (beta, Xi) takes first."""
-    M = np.linalg.inv(xi @ xi)
-    tT, tI = prep.flat @ M.ravel()
-    u = tT / beta + beta * tI - 2.0 * np.trace(M)
-    c = (prep.K * prep.m * n / (2.0 * s) / (KOTZ_R * np.sum(u ** s))) ** (1.0 / s)
-    kernel, finite = kotz_kernel(1.0, KOTZ_R, s, n, prep.m), 0.0 < c < math.inf
-    return _loglik_prepared(prep, n, beta, xi / math.sqrt(c), kernel) if finite else -math.inf
+            keep = live[finite]
+            theta[keep], q[keep], x[keep] = th[finite], q_l[finite], x_l[finite]
+            steps[live] += 1
+            converged[live] = small
+            live = live[finite & ~small & ~trying & (steps[live] < budget[live])]
+        return x, theta, q, steps, converged, slope
 
 
 def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess,
               gauss: FitResult) -> list[FitResult]:
-    """One Kotz fit per spec, r pinned at KOTZ_R, in lockstep: each round
-    solves (M, q) in one batch for every power whose search in ln beta waits.
-    Each starts from the better start by _start_score; iterations counts its
-    solves.  A start solve that is not finite raises DomainError; a later
-    one that fails ends its row at its last finite solution, not converged."""
-    profile = _KotzProfile(prep, n, [spec.s for spec in specs])
+    """One Kotz fit per spec, all in one batched Newton solve over
+    [beta_max / BETA_RANGE, beta_max].  Each power starts from the better of
+    the moment guess and the Gaussian optimum by the solver's value after
+    its radial step at q = 1; iterations counts its Newton steps.  A power
+    whose fit has no finite log-likelihood, as from a start without one,
+    raises DomainError."""
+    profile, R = _KotzProfile(prep, n), len(specs)
+    top = math.log(prep.beta_max)
+    bottom = top - math.log(BETA_RANGE)
     starts = [(min(guess.beta0, 0.9 * prep.beta_max), guess.xi0), (gauss.beta, gauss.xi)]
-    pick = np.array([int(not _start_score(prep, n, spec.s, *starts[0])
-                         > _start_score(prep, n, spec.s, *starts[1])) for spec in specs], int)
-    beta = np.array([b for b, _ in starts])[pick]
-    profile.theta = np.array([profile.theta_of(xi) for _, xi in starts])[pick]
-    slopes = profile(beta)
-    for spec, g in zip(specs, slopes):
-        if math.isnan(g):
-            raise DomainError(f"Kotz power s={spec.s:g}: no finite likelihood at its start")
-    searches = [_search_log_beta(prep, math.log(b), g, spec.max_iter)
-                for b, g, spec in zip(beta, slopes, specs)]
-    solves, ends = np.ones(len(specs), dtype=int), [(0, False)] * len(specs)
-    sends = dict.fromkeys(range(len(specs)))  # row -> the slope its search is sent next
-    while sends:
-        asked = {}                            # row -> the beta its search waits on
-        for i, g in sends.items():
-            try:
-                asked[i] = searches[i].send(g)
-            except StopIteration as stop:
-                ends[i] = stop.value[2:]      # (end, success)
-        rows = np.fromiter(asked, dtype=np.intp, count=len(asked))
-        solves[rows] += 1
-        slopes = profile(list(asked.values()), rows) if asked else []
-        sends = {i: g for i, g in zip(asked, slopes) if not math.isnan(g)}
+    s = np.array([spec.s for spec in specs])
+    x = np.log([beta for beta, _ in starts]).repeat(R)
+    theta = np.array([profile.theta_of(xi) for _, xi in starts]).repeat(R, axis=0)
+    theta = profile.radial(np.tile(s, 2), profile.stack(x)[1], theta, np.ones(2 * R))
+    value = profile.value(np.tile(s, 2), x, theta, np.ones(2 * R)).reshape(2, R)
+    rows = np.arange(R) + R * ~(value[0] > value[1])
+    x, theta, q, steps, converged, slope = profile.newton(
+        s, x[rows], theta[rows], np.ones(R), np.full(R, bottom), np.full(R, top),
+        np.array([spec.max_iter for spec in specs]))
+    # none is a maximum: at the cap on q the likelihood still rose, at the
+    # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
+    converged &= (q < profile.q_cap) & ~((x <= bottom) & (slope < 0.0))
+    converged &= ~((prep.m == 1) & (x == top) & (q < (3.0 - n) / 2.0))
+    w, P = np.linalg.eigh(profile.matrix(theta))
+    xis = sym_part((P / np.sqrt(w)[:, None, :]) @ np.swapaxes(P, 1, 2))
     fits = []
-    for i, spec in enumerate(specs):
-        (end, success), q = ends[i], float(profile.q[i])
-        w, P = np.linalg.eigh(profile.matrix(profile.theta[i]))
-        xi = sym_part((P / np.sqrt(w)) @ P.T)
-        # none is a maximum: at the cap on q the likelihood still rose, at the
-        # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
-        unbounded = prep.m == 1 and end == 1 and q < (3.0 - n) / 2.0
-        converged = bool(success and profile.converged[i] and q < profile.q_cap
-                         and end != -1 and not unbounded)
-        fits.append(_result(prep, spec, n, float(profile.beta[i]), xi, converged,
-                            int(solves[i]), q))
+    for spec, x_r, xi, q_r, ok, k in zip(specs, x, xis, q, converged, steps):
+        beta = prep.beta_max if x_r == top else math.exp(x_r)
+        fits.append(_result(prep, spec, n, beta, xi, bool(ok), int(k), float(q_r)))
+        if not math.isfinite(fits[-1].loglik_max):
+            raise DomainError(f"Kotz power s={spec.s:g}: no finite likelihood from its start")
     return fits
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
-    """Maximise the log-likelihood of one family: a search for the zero of
-    the profile's slope in ln beta, with the Gaussian shape in closed form
-    and, for the Kotz with r pinned at 1/2, a joint Newton solve over
-    (M, q), M = Xi^{-2}, at each beta.  Deterministic; max_iter caps the
-    search's evaluations after its start, and a fit that exhausts it is
-    returned flagged, not raised."""
-    mats = _as_stack(data)
+    """Maximise the log-likelihood of one family: for the Gaussian a search
+    for the zero of the profile's slope in ln beta with the shape in closed
+    form, for the Kotz with r pinned at 1/2 one Newton solve over
+    (ln beta, M, q), M = Xi^{-2}.  Deterministic; max_iter caps the
+    Gaussian search's evaluations after its start and the Kotz Newton
+    steps, and a fit that exhausts it is returned flagged, not raised."""
+    mats = _as_stack(data, n)
     prep = _Prepared(mats)
     if prep.K < 2:
         raise DomainError("fitting needs at least two observations")
@@ -675,11 +644,11 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
     """Fit the Gaussian baseline once, then one Kotz model per fixed s.
 
     The data, the moment guess and the Gaussian optimum are prepared once,
-    and the powers are fitted together, each from one start (_fit_kotz): a
-    row equals fit_mle at its power bit for bit.  Rows that spend the
+    and the powers are fitted in one batched solve (_fit_kotz): a row equals
+    fit_mle at its power bit for bit.  Rows that spend the
     iteration budget are kept flagged; the table is always emitted in full.
     """
-    mats, base = _as_stack(data), spec if spec is not None else FitSpec()
+    mats, base = _as_stack(data, n), spec if spec is not None else FitSpec()
     # FitSpec raises for a power that is not positive and finite
     specs = [replace(base, family=KOTZ, s=float(s)) for s in s_values]
     prep = _Prepared(mats)

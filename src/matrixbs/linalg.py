@@ -142,24 +142,29 @@ def log_mv_gamma(m: int, a: float) -> float:
                  + sum(math.lgamma(a - (i - 1) / 2) for i in range(1, m + 1)))
 
 
-def digamma(x: float) -> float:
-    """psi(x) = d ln Gamma(x) / dx for x > 0, to about 1e-14 relative away
-    from its zero near 1.4616."""
-    shift = 0.0
-    while x < PSI_SERIES_FROM:   # psi(x) = psi(x + 1) - 1/x
-        shift -= 1.0 / x
-        x += 1.0
+def _recurrence(x, power):
+    """x > 0 stepped up by ones to PSI_SERIES_FROM, and the sum of x^-power on the way."""
+    shifted = np.asarray(x, dtype=float)[..., None] + np.arange(PSI_SERIES_FROM)
+    passed = shifted < PSI_SERIES_FROM
+    return (shifted[..., 0] + passed.sum(axis=-1),
+            np.where(passed, 1.0 / shifted ** power, 0.0).sum(axis=-1))
+
+
+@np.errstate(divide="ignore")
+def digamma(x):
+    """psi(x) = d ln Gamma(x) / dx for x > 0, elementwise, to about
+    1e-14 relative away from its zero near 1.4616."""
+    x, shift = _recurrence(x, 1)   # psi(x) = psi(x + 1) - 1/x
     inv2 = 1.0 / (x * x)
     series = sum(b / (2 * k) * inv2 ** k for k, b in enumerate(_BERNOULLI, 1))
-    return shift + math.log(x) - 0.5 / x - series
+    return np.log(x) - 0.5 / x - series - shift
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) = d^2 ln Gamma(x) / dx^2 for x > 0, to about 1e-14 relative."""
-    shift = 0.0
-    while x < PSI_SERIES_FROM:   # psi'(x) = psi'(x + 1) + 1/x^2
-        shift += 1.0 / (x * x)
-        x += 1.0
+@np.errstate(divide="ignore")
+def trigamma(x):
+    """psi'(x) = d^2 ln Gamma(x) / dx^2 for x > 0, elementwise, to about
+    1e-14 relative."""
+    x, shift = _recurrence(x, 2)   # psi'(x) = psi'(x + 1) + 1/x^2
     inv2 = 1.0 / (x * x)
     series = sum(b * inv2 ** k for k, b in enumerate(_BERNOULLI, 1)) / x
     return shift + 1.0 / x + 0.5 * inv2 + series

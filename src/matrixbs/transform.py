@@ -188,12 +188,12 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
     second:  prod d_i^(-n) (d_i - 1)^(n-m) (1 + d_i) prod_{i<j} (d_i d_j - 1)
 
     deltas is one set of m eigenvalues or a (K, m) batch, giving one value
-    per set; total=True instead sums log|G| over the batch and returns no
-    sign (None).  Returns (log_abs, sign); sign = 0 with
-    log_abs = -inf on the zero set, anything within boundary_tol of
-    d_i = 1 (for n > m) or d_i d_j = 1.
+    per set; total=True instead sums log|G| over the K axis of a (..., K, m)
+    array, one sum per leading index, and returns no sign (None).  Returns
+    (log_abs, sign); sign = 0 with log_abs = -inf on the zero set, anything
+    within boundary_tol of d_i = 1 (for n > m) or d_i d_j = 1.
     """
-    d = np.asarray(deltas, dtype=float).T  # one row per eigenvalue
+    d = np.moveaxis(np.asarray(deltas, dtype=float), -1, 0)  # one row per eigenvalue
     if form == "first":
         x = np.divide(1.0, d, order="C")
     elif form == "second":
@@ -204,35 +204,41 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
     F = x[rows[:, 0]] * x[rows[:, 1]]
     F = 1.0 - F if form == "first" else F - 1.0
     a = np.abs(F)
-    zero = a.min(axis=None if total else 0, initial=np.inf) < boundary_tol
-    if total and zero:
-        return -math.inf, None
-    log_abs = weights @ np.log(a) + (1 - max(n - m, 0)) * np.log1p(x).sum(axis=0)
+    zero = a.min(axis=0, initial=np.inf) < boundary_tol
+    # summed factor by factor, so each value's rounding is its own
+    log_abs = ((weights.reshape((-1,) + (1,) * (a.ndim - 1)) * np.log(a)).sum(axis=0)
+               + (1 - max(n - m, 0)) * np.log1p(x).sum(axis=0))
     if form == "second":
         log_abs -= n * np.log(x).sum(axis=0)
-    if total:
-        return float(log_abs.sum()), None
     log_abs = np.where(zero, -np.inf, log_abs)
+    if total:
+        return log_abs.sum(axis=-1), None
     sign = np.where(zero, 0, 1 - 2 * (weights @ (F < 0.0) % 2)).astype(int)
     if log_abs.ndim == 0:
         return float(log_abs), int(sign)
     return log_abs, sign
 
 
-def log_gfactor_slope(deltas, n: int, m: int) -> tuple[float, float]:
-    """d log|G| / d ln beta over a (K, m) batch of deltas, the eigenvalues of
-    beta^{-1} T, and the sum of its terms' magnitudes.
+def log_gfactor_slope(deltas, n: int, m: int):
+    """d log|G| / d ln beta, the sum of its terms' magnitudes and
+    d^2 log|G| / d (ln beta)^2, each summed over the K axis of a (..., K, m)
+    array of deltas, the eigenvalues of beta^{-1} T: one value per leading index.
 
     In the first form every x = 1/d is proportional to beta, so each pair
-    factor contributes -2 w x_i x_j / (1 - x_i x_j) and each eigenvalue
-    (1 - max(n - m, 0)) x / (1 + x).  Off the zero set of log_abs_gfactor.
+    factor F = x_i x_j contributes -2 w F / (1 - F) to the slope and
+    -4 w F / (1 - F)^2 to the curvature, and each eigenvalue c x / (1 + x)
+    and c x / (1 + x)^2, c = 1 - max(n - m, 0).  Off the zero set of
+    log_abs_gfactor.
     """
-    x = np.divide(1.0, np.asarray(deltas, dtype=float).T, order="C")
+    x = np.divide(1.0, np.moveaxis(np.asarray(deltas, dtype=float), -1, 0), order="C")
     weights, rows = _gfactor_pairs(n, m)
     F = x[rows[:, 0]] * x[rows[:, 1]]
-    pair = -2.0 * (weights @ (F / (1.0 - F)))
-    single = (1 - max(n - m, 0)) * (x / (1.0 + x)).sum(axis=0)
-    return float((pair + single).sum()), float(np.abs(pair).sum() + np.abs(single).sum())
+    pair = -2.0 * weights.reshape((-1,) + (1,) * (F.ndim - 1)) * F / (1.0 - F)
+    single = (1 - max(n - m, 0)) * x / (1.0 + x)
+    pair_k, single_k = pair.sum(axis=0), single.sum(axis=0)
+    curvature = (2.0 * pair / (1.0 - F)).sum(axis=0) + (single / (1.0 + x)).sum(axis=0)
+    return ((pair_k + single_k).sum(axis=-1), (np.abs(pair_k) + np.abs(single_k)).sum(axis=-1),
+            curvature.sum(axis=-1))
 
 
 def jacobian_det_form(V, params: GbsParams) -> float:

@@ -354,6 +354,15 @@ class TestConfig:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_degrees_below_order_exit_two(self, command, tmp_path, capsys):
+        # n < m is refused before any fitting, with the density command's message
+        data = Path(__file__).resolve().parent / "data" / "paper_k20_round1_popB.csv"
+        out = tmp_path / "out.json"
+        assert run(command, "--data", str(data), "--n", "1", "--out", str(out)) == 2
+        assert "need degrees n >= m, got n=1, m=2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")

@@ -151,6 +151,18 @@ class TestFitMle:
                 assert np.array_equal(res.xi, ref.xi)
                 assert res.loglik_max == ref.loglik_max
 
+    def test_degrees_below_order_rejected_first(self, monkeypatch):
+        # n < m is refused before the data are prepared or any fit starts
+        from matrixbs import fit as fit_module
+
+        monkeypatch.setattr(fit_module, "_Prepared", None)
+        batch = make_batch(20, 7)
+        for call in (lambda: fit_mle(batch, FitSpec(), 1),
+                     lambda: profile_s_grid(batch, (1.0,), 1),
+                     lambda: loglik(batch, 1, 90.0, XI_TRUE, gaussian_kernel(6, 2))):
+            with pytest.raises(DomainError, match="need degrees n >= m, got n=1, m=2"):
+                call()
+
     def test_degrees_equal_order_fits(self):
         batch = make_batch(30, 4, n=2)
         res = fit_mle(batch, FitSpec(family="gaussian"), 2)
@@ -281,6 +293,21 @@ def _inv_sqrt(M):
     return (P / np.sqrt(w)) @ P.T
 
 
+def _solve_at_betas(T, n, s, betas, q=1.0):
+    """The Kotz profile at each fixed beta: one solve, a row per beta with
+    both bounds of ln beta at it, each from M = I and q.  Returns the
+    profile and per row theta, q, converged and the slope in ln beta."""
+    from matrixbs import fit as fit_module
+
+    profile = fit_module._KotzProfile(fit_module._Prepared(T), n)
+    x = np.log(betas)
+    R = len(x)
+    _, theta, q, _, converged, slope = profile.newton(
+        np.full(R, s), x, np.tile(profile.theta_of(np.eye(T.shape[1])), (R, 1)),
+        np.full(R, float(q)), x, x, np.full(R, 5000))
+    return profile, theta, q, converged, slope
+
+
 class TestKotzProfile:
     def test_rate_scale_invariance(self):
         # the reason r is pinned: (Xi, r) -> (c Xi, r c^(2s)) leaves the likelihood
@@ -320,15 +347,11 @@ class TestKotzProfile:
 
     @pytest.mark.parametrize("s,q", [(0.5, -3.9), (1.0, 1.0), (2.0, 8.0), (5.0, 30.0)])
     def test_inner_solve_from_identity(self, s, q):
-        # the inner solve has no public entry: at fixed beta, from M = I and
-        # the given q, it must reach a stationary point of the shape at the q
-        # it returns, a local maximum
-        from matrixbs import fit as fit_module
-
+        # at fixed beta, from M = I and the given q, the solve must reach a
+        # stationary point of the shape at the q it returns, a local maximum
         batch = make_batch(40, 12, n=5, kernel=kotz_kernel(2.0, 0.8, 1.2, 5, 2))
         T, K, n, beta = batch.matrices, batch.count, 5, 80.0
-        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
-        [value], [theta], [q], [converged] = profile.solve(beta, q, profile.theta_of(np.eye(2)))
+        profile, [theta], [q], [converged], _ = _solve_at_betas(T, n, s, [beta], q)
         assert converged
         M = profile.matrix(theta)
         A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(2)
@@ -337,7 +360,7 @@ class TestKotzProfile:
         assert np.einsum("k,kij->ij", w, A) == pytest.approx(0.5 * K * n * np.linalg.inv(M),
                                                              rel=1e-9)
         kernel = kotz_kernel(q, 0.5, s, n, 2)
-        assert value == pytest.approx(loglik(T, n, beta, _inv_sqrt(M), kernel), rel=1e-12)
+        value = loglik(T, n, beta, _inv_sqrt(M), kernel)
         rng = np.random.default_rng(5)
         for _ in range(5):
             E = rng.normal(scale=1e-3, size=(2, 2))
@@ -350,12 +373,9 @@ class TestKotzProfile:
         #   K (ln r - psi(a)) / s + sum_k ln u_k,   a = (2q + nm - 2) / (2s)
         from scipy.special import digamma
 
-        from matrixbs import fit as fit_module
-
         batch = make_batch(40, 12, n=5, kernel=kotz_kernel(2.0, 0.8, 1.2, 5, 2))
         T, K, n, beta = batch.matrices, batch.count, 5, 80.0
-        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
-        [value], [theta], [q], [converged] = profile.solve(beta, q, profile.theta_of(np.eye(2)))
+        profile, [theta], [q], [converged], _ = _solve_at_betas(T, n, s, [beta], q)
         assert converged
         A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(2)
         u = np.einsum("ij,kij->k", profile.matrix(theta), A)
@@ -363,8 +383,42 @@ class TestKotzProfile:
                  np.sum(np.log(u)))
         assert abs(sum(terms)) <= 1e-8 * max(abs(t) for t in terms)
         xi = _inv_sqrt(profile.matrix(theta))
+        value = loglik(T, n, beta, xi, kotz_kernel(q, 0.5, s, n, 2))
         for dq in (-1e-3, 1e-3):
             assert loglik(T, n, beta, xi, kotz_kernel(q + dq, 0.5, s, n, 2)) < value
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
+    def test_gradient_zero_at_optimum(self, s):
+        # the fit zeroes the gradient in (M, q, ln beta), each part against
+        # the magnitudes of its terms, and the likelihood falls on either
+        # side of it in ln beta and in q
+        from scipy.special import digamma
+
+        from matrixbs import fit as fit_module
+        from matrixbs.transform import log_gfactor_slope
+
+        T, n = read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6
+        res = fit_mle(T, FitSpec(family="kotz", s=s), n)
+        assert res.converged and res.beta < fit_module._Prepared(T).beta_max
+        K, beta, q, r = len(T), res.beta, res.q, res.r
+        M, T_inv = np.linalg.inv(res.xi @ res.xi), np.linalg.inv(T)
+        tT, tI = np.einsum("ij,kij->k", M, T), np.einsum("ij,kij->k", M, T_inv)
+        u = tT / beta + beta * tI - 2.0 * np.trace(M)
+        dh = (q - 1.0) / u - r * s * u ** (s - 1.0)
+        A = T / beta + beta * T_inv - 2.0 * np.eye(2)
+        scatter = np.einsum("k,kij->ij", dh, A)
+        assert scatter == pytest.approx(-0.5 * K * n * np.linalg.inv(M), rel=1e-8)
+        terms = (K * (math.log(r) - digamma((2.0 * q + n * 2 - 2.0) / (2.0 * s))) / s,
+                 np.sum(np.log(u)))
+        assert abs(sum(terms)) <= 1e-8 * max(abs(t) for t in terms)
+        g_slope, g_scale, _ = log_gfactor_slope(np.linalg.eigvalsh(T) / beta, n, 2)
+        terms = (g_slope, -0.5 * K * n * 2, dh * (beta * tI - tT / beta))
+        assert abs(terms[0] + terms[1] + terms[2].sum()) <= 1e-8 * (
+            g_scale - terms[1] + np.abs(terms[2]).sum())
+        kernel = kotz_kernel(q, r, s, n, 2)
+        for d in (-1e-3, 1e-3):
+            assert loglik(T, n, beta * math.exp(d), res.xi, kernel) < res.loglik_max
+            assert loglik(T, n, beta, res.xi, kotz_kernel(q + d, r, s, n, 2)) < res.loglik_max
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 5.0])
     @pytest.mark.parametrize("batch,n", [
@@ -372,17 +426,36 @@ class TestKotzProfile:
         pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, id="popB")])
     def test_dense_beta_grid_never_higher(self, batch, n, s):
         # the profile over (M, q) has one mode in beta: no point of a dense
-        # grid, each solved from the one below it, beats the fit
+        # grid, each solved at its fixed beta, beats the fit
         from matrixbs import fit as fit_module
 
+        T = batch.matrices
         res = fit_mle(batch, FitSpec(family="kotz", s=s), n)
-        prep = fit_module._Prepared(batch.matrices)
-        profile = fit_module._KotzProfile(prep, n, s)
-        theta, q = profile.theta_of(np.eye(prep.m)), 1.0
-        for beta in np.geomspace(prep.beta_max / 1e6, prep.beta_max, 200):
-            value, theta, q, converged = profile.solve(beta, q, theta)
-            assert converged
+        beta_max = fit_module._Prepared(T).beta_max
+        betas = np.geomspace(beta_max / 1e6, beta_max, 200)
+        profile, theta, q, converged, _ = _solve_at_betas(T, n, s, betas)
+        assert converged.all()
+        for beta, theta_b, q_b in zip(betas, theta, q):
+            value = loglik(T, n, beta, _inv_sqrt(profile.matrix(theta_b)),
+                           kotz_kernel(q_b, 0.5, s, n, T.shape[1]))
             assert value <= res.loglik_max + 1e-8
+
+    def test_shape_at_floor_of_q(self):
+        # at the smallest q above q_floor the Gamma shape (q - q_floor)/s
+        # stays positive: the value is a number or -inf, never an error
+        from matrixbs import fit as fit_module
+
+        profile = fit_module._KotzProfile(fit_module._Prepared([[[2.0]], [[3.0]], [[5.0]]]), 1)
+        q = np.nextafter(profile.q_floor, np.inf)
+        value = profile.value(np.array([1.5]), np.array([0.0]), np.array([[1.0]]), np.array([q]))
+        assert value[0] == -np.inf or np.isfinite(value[0])
+
+    def test_small_power_not_below_reachable_maximum(self):
+        # popB at s = 0.05 has a maximum of at least -358.7300 (at beta near
+        # 94.1); a fit flagged converged may not stop below it
+        batch = read_batch(DATA / "paper_k20_round1_popB.csv")
+        res = fit_mle(batch, FitSpec(family="kotz", s=0.05), 6)
+        assert not res.converged or res.loglik_max >= -358.7300
 
     @pytest.mark.parametrize("s", sorted(POP_B_MULTISTART))
     def test_at_least_multistart_paper_fixture(self, s):
@@ -459,30 +532,26 @@ class TestLogBetaSearch:
     def test_zero_of_known_slope(self, root, end):
         # slope tanh(root - ln beta) over ln beta in [-ln 1e6, 0]: the zero
         # inside the range, or the end of the range the slope points past
-        from types import SimpleNamespace
-
         from matrixbs import fit as fit_module
 
         def slope_at(beta):
             return math.tanh(root - math.log(beta))
 
-        beta, evals, got_end, success = fit_module._drive(fit_module._search_log_beta(
-            SimpleNamespace(beta_max=1.0), -0.1, slope_at(math.exp(-0.1)), 100), slope_at)
-        assert success and got_end == end and evals <= 30
-        assert math.log(beta) == pytest.approx(min(max(root, -math.log(1e6)), 0.0), abs=1e-10)
+        beta, evals, success = fit_module._search_log_beta(1.0, -0.1, slope_at, 100)
+        assert success and evals <= 31
+        assert math.log(beta) == pytest.approx({0: root, 1: 0.0, -1: -math.log(1e6)}[end],
+                                               abs=1e-10)
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
     def test_kotz_slope_is_profile_derivative(self, s):
-        # the envelope theorem: at the joint (M, q) solution the partial
-        # derivative is the derivative of the profile itself
-        from matrixbs import fit as fit_module
-
+        # the envelope theorem: at the joint (M, q) solution at fixed beta the
+        # partial derivative in ln beta is the derivative of the profile itself
         T, n, beta, h = read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6, 95.0, 1e-4
-        profile = fit_module._KotzProfile(fit_module._Prepared(T), n, s)
-        profile(beta)
-        values = [profile.solve(beta * math.exp(d), profile.q, profile.theta)[0]
-                  for d in (h, -h)]
-        assert profile(beta) == pytest.approx((values[0] - values[1]) / (2 * h), rel=1e-5)
+        betas = beta * np.exp([-h, 0.0, h])
+        profile, theta, q, converged, slope = _solve_at_betas(T, n, s, betas)
+        assert converged.all()
+        lower, _, upper = profile.value(np.full(3, s), np.log(betas), theta, q)
+        assert slope[1] == pytest.approx((upper - lower) / (2 * h), rel=1e-5)
 
     @pytest.mark.parametrize("spec", [FitSpec(family="gaussian"), FitSpec(family="kotz", s=1.5),
                                       FitSpec(family="kotz", s=0.5)],
@@ -519,12 +588,13 @@ class TestLogBetaSearch:
 
     @pytest.mark.parametrize("family", ["gaussian", "kotz"])
     def test_iteration_budget_caps_search(self, family):
-        # the budget counts the search's evaluations beyond its start; a fit
-        # that spends it is returned flagged, not raised
+        # the budget counts the Gaussian search's evaluations beyond its
+        # start and the Kotz Newton steps; a fit that spends it is returned
+        # flagged, not raised
         batch = read_batch(DATA / "paper_k20_round1_popB.csv")
         res = fit_mle(batch, FitSpec(family=family, max_iter=2), 6)
         assert not res.converged
-        assert res.iterations == 3
+        assert res.iterations == (3 if family == "gaussian" else 2)
         assert math.isfinite(res.loglik_max)
 
 
@@ -649,39 +719,45 @@ class TestProfileGrid:
             self._assert_same_fit(row.fit, fit_mle(batch, FitSpec(family="kotz", s=row.s), n))
 
     def test_rows_end_in_different_rounds(self):
-        # s = 15 ends after 7 solves and s = 0.5 after 8; s = 0.05, which
-        # takes 34, spends the budget of 10: each row leaves in its own round
+        # s = 5 ends after 5 Newton steps and s = 1 after 8; s = 0.05, which
+        # takes 430, spends the budget of 9: each row leaves at its own step
         batch = read_batch(DATA / "paper_k20_round1_popB.csv")
-        rows = profile_s_grid(batch, (0.05, 0.5, 15.0), 6, spec=FitSpec(max_iter=10)).rows
+        rows = profile_s_grid(batch, (0.05, 1.0, 5.0), 6, spec=FitSpec(max_iter=9)).rows
         assert [(row.fit.iterations, row.fit.converged) for row in rows] == [
-            (11, False), (8, True), (7, True)]
+            (9, False), (8, True), (5, True)]
         for row in rows:
-            single = fit_mle(batch, FitSpec(family="kotz", s=row.s, max_iter=10), 6)
+            single = fit_mle(batch, FitSpec(family="kotz", s=row.s, max_iter=9), 6)
             self._assert_same_fit(row.fit, single)
 
     def test_failed_solve_ends_its_row(self, monkeypatch):
-        # a search solve that fails leaves its row at its last finite
-        # solution, flagged not converged; the other rows go on unchanged
+        # a Newton step that is not finite leaves its row where the step
+        # before left it, flagged not converged; the other rows go on unchanged
         from matrixbs import fit as fit_module
 
         batch = read_batch(DATA / "paper_k20_round1_popB.csv")
-        newton = fit_module._KotzProfile._newton
-        calls, last_finite = [], {}
+        digamma, newton, calls, solve = fit_module.digamma, fit_module._KotzProfile.newton, [], {}
 
-        def fail_third_search_solve(self, beta, q, theta, rows):
-            A, theta, q, converged = newton(self, beta, q, theta, rows)
-            calls.append(rows)
-            if len(calls) == 4:
-                last_finite.update(beta=self.beta[0], q=self.q[0])
-                theta[rows == 0] = math.nan
-            return A, theta, q, converged
+        def fail_third_step_of_first_row(a):
+            calls.append(len(a))
+            value = digamma(a)
+            if len(calls) == 3:
+                value[0] = math.nan
+            return value
 
-        monkeypatch.setattr(fit_module._KotzProfile, "_newton", fail_third_search_solve)
+        def recorded(self, *args):
+            solve.update(profile=self, args=args)
+            return newton(self, *args)
+
+        monkeypatch.setattr(fit_module, "digamma", fail_third_step_of_first_row)
+        monkeypatch.setattr(fit_module._KotzProfile, "newton", recorded)
         failed, other = profile_s_grid(batch, (0.5, 1.5), 6).rows
-        assert 0 in calls[3]
-        assert not failed.fit.converged and failed.fit.iterations == 4
-        assert (failed.fit.beta, failed.fit.q) == (last_finite["beta"], last_finite["q"])
         monkeypatch.undo()
+        assert calls[2] == 2
+        assert not failed.fit.converged and failed.fit.iterations == 3
+        # the first row alone, from the same start, for the two steps before
+        s, x, theta, q, lo, hi, _ = (arg[:1] for arg in solve["args"])
+        x, _, q, *_ = newton(solve["profile"], s, x, theta, q, lo, hi, np.array([2]))
+        assert (failed.fit.beta, failed.fit.q) == (math.exp(x[0]), q[0])
         self._assert_same_fit(other.fit, fit_mle(batch, FitSpec(family="kotz", s=1.5), 6))
 
     @pytest.mark.parametrize("grid", [(1.0,), (0.5, 1.0, 2.0, 4.0)])

@@ -148,6 +148,14 @@ class TestPolygamma:
             want = float(polygamma(1, a))
             assert abs(trigamma(a) - want) <= 1e-13 * want, a
 
+    def test_arrays_equal_scalar_calls(self):
+        # one call over an array gives each element's scalar value bit for bit
+        for fn in (digamma, trigamma):
+            values = fn(POLYGAMMA_ARGS)
+            assert values.shape == POLYGAMMA_ARGS.shape
+            assert values.tobytes() == np.array([fn(float(a)) for a in POLYGAMMA_ARGS]).tobytes()
+            assert isinstance(fn(2.5), float)
+
     def test_recurrence_across_series_switch(self):
         # psi(x + 1) = psi(x) + 1/x and psi'(x + 1) = psi'(x) - 1/x^2 across
         # the argument where the recurrence hands over to the series
