@@ -175,14 +175,16 @@ def _convention(args) -> Convention:
     return CONVENTIONS[args.convention or "branch"]
 
 
-def _emit(args, text_payload: str, json_payload) -> None:
+def _emit(args, text_payload, json_payload) -> None:
+    """Write the JSON payload to a .json --out, else the text payload to
+    --out or stdout.  Both are callables; only the one written is built."""
     if args.out and args.out.lower().endswith(".json"):
-        Path(args.out).write_text(json.dumps(json_payload, indent=2) + "\n",
+        Path(args.out).write_text(json.dumps(json_payload(), indent=2) + "\n",
                                   encoding="utf-8")
     elif args.out:
-        Path(args.out).write_text(text_payload, encoding="utf-8")
+        Path(args.out).write_text(text_payload(), encoding="utf-8")
     else:
-        sys.stdout.write(text_payload)
+        sys.stdout.write(text_payload())
 
 
 def _cmd_density(args) -> int:
@@ -196,8 +198,8 @@ def _cmd_density(args) -> int:
     kernel = _kernel(args, args.n, m)
     conv = _convention(args)
     values = logpdf_T(batch.matrices, params, kernel, conv).tolist()
-    text = "".join(f"{v:.17g}\n" for v in values)
-    _emit(args, text, {"logpdf": values, "convention": conv.value})
+    _emit(args, lambda: "".join(f"{v:.17g}\n" for v in values),
+          lambda: {"logpdf": values, "convention": conv.value})
     return 0
 
 
@@ -230,7 +232,8 @@ def _cmd_fit(args) -> int:
     if family == KOTZ and args.s is None:
         raise UsageError("--s (fixed Kotz power) is required to fit the kotz family")
     result = fit_mle(batch, _fit_spec(args, family, args.s), args.n)
-    _emit(args, dataio.format_fit_text(result), dataio.fit_result_to_dict(result))
+    _emit(args, lambda: dataio.format_fit_text(result),
+          lambda: dataio.fit_result_to_dict(result))
     return 0
 
 
@@ -245,7 +248,8 @@ def _cmd_compare(args) -> int:
     else:
         grid = list(DEFAULT_S_GRID)
     profile = profile_s_grid(batch, grid, args.n, spec=_fit_spec(args, KOTZ))
-    _emit(args, dataio.format_profile_table(profile), dataio.profile_to_dict(profile))
+    _emit(args, lambda: dataio.format_profile_table(profile),
+          lambda: dataio.profile_to_dict(profile))
     return 0
 
 
@@ -254,8 +258,8 @@ def _cmd_validate(args) -> int:
 
     checks = run_validation(seed=args.seed if args.seed is not None else 0)
     report = format_report(checks)
-    _emit(args, report, [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                         for c in checks])
+    _emit(args, lambda: report, lambda: [{"name": c.name, "passed": c.passed,
+                                          "detail": c.detail} for c in checks])
     if args.out:
         sys.stdout.write(report)
     return 0 if all(c.passed for c in checks) else 1

@@ -96,21 +96,38 @@ def _provenance_dict(batch: SampleBatch) -> dict | None:
     return prov
 
 
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """JSON's spelling of each entry: str(float), or NaN and -Infinity as
+    json.dumps writes them."""
+    flat = values.ravel().tolist()
+    if np.isfinite(values).all():
+        return list(map(repr, flat))
+    return list(map(json.dumps, flat))
+
+
 def _batch_to_json(batch: SampleBatch) -> str:
     """The text json.dumps(indent=2) gives, with the matrices block filled
-    from one template: with indent, json.dumps runs its pure-Python encoder."""
+    from one template: with indent, json.dumps runs its pure-Python encoder.
+    An exactly symmetric stack has each (i, j) pair spelled once."""
     obj = {"m": batch.m, "count": batch.count, "matrices": []}
     prov = _provenance_dict(batch)
     if prov is not None:
         obj["provenance"] = prov
-    row = "      [\n" + ",\n".join(["        %s"] * batch.m) + "\n      ]"
-    matrix = "    [\n" + ",\n".join([row] * batch.m) + "\n    ]"
-    values = batch.matrices.ravel().tolist()  # str(float) is JSON's float spelling
-    if not np.isfinite(batch.matrices).all():
-        values = [v if math.isfinite(v) else json.dumps(v) for v in values]
+    m, mats = batch.m, batch.matrices
+    row = "      [\n" + ",\n".join(["        %s"] * m) + "\n      ]"
+    matrix = "    [\n" + ",\n".join([row] * m) + "\n    ]"
+    bits = mats.view(np.uint64)  # -0.0 and 0.0 are spelled apart
+    if np.array_equal(bits, np.swapaxes(bits, 1, 2)):
+        i, j = np.triu_indices(m)
+        pair = np.empty((m, m), dtype=np.intp)
+        pair[i, j] = pair[j, i] = np.arange(i.size)
+        upper = np.array(_json_numbers(mats[:, i, j]), dtype=object).reshape(batch.count, -1)
+        values = upper[:, pair.ravel()].ravel().tolist()
+    else:
+        values = _json_numbers(mats)
     block = ",\n".join([matrix] * batch.count) % tuple(values)
-    return json.dumps(obj, indent=2).replace(
-        '"matrices": []', '"matrices": [\n' + block + "\n  ]", 1) + "\n"
+    head, _, tail = json.dumps(obj, indent=2).partition('"matrices": []')
+    return "".join([head, '"matrices": [\n', block, "\n  ]", tail, "\n"])
 
 
 def _batch_from_json(text: str) -> SampleBatch:

@@ -46,7 +46,7 @@ import numpy as np
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
-from .linalg import check_spd, digamma, sym_part, trigamma
+from .linalg import _spd_eigenvalues, check_spd, digamma, sym_part, trigamma
 from .sampling import SampleBatch
 from .transform import log_abs_gfactor, log_gfactor_slope
 
@@ -97,9 +97,8 @@ class _Prepared:
     """Per-dataset quantities that do not depend on the parameters."""
 
     def __init__(self, mats: np.ndarray):
-        T = check_spd(mats, "T")
+        T, lam = _spd_eigenvalues(mats, "T")
         self.K, self.m = T.shape[:2]
-        lam = np.linalg.eigvalsh(T)
         # (K, m) view of an (m, K) array: the layout log_abs_gfactor works in
         self.lam = np.ascontiguousarray(lam.T).T
         self.sum_log_lam = float(np.sum(np.log(lam)))
@@ -109,6 +108,7 @@ class _Prepared:
         self.flat = np.stack([T, np.linalg.inv(T)]).reshape(2, self.K, -1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
                      kernel: KernelSpec,
                      convention: Convention = Convention.AS_PUBLISHED) -> float:
@@ -439,6 +439,7 @@ class _KotzProfile:
         beta = np.exp(x)[:, None, None]
         return beta, self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
 
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def radial(self, s, A, theta, q):
         """theta rescaled along M -> c M to its maximum at the stack A,
         c^s = K a / (r sum_k u_k^s)."""
@@ -586,7 +587,8 @@ def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess
     converged &= (q < profile.q_cap) & ~((x <= bottom) & (slope < 0.0))
     converged &= ~((prep.m == 1) & (x == top) & (q < (3.0 - n) / 2.0))
     w, P = np.linalg.eigh(profile.matrix(theta))
-    xis = sym_part((P / np.sqrt(w)[:, None, :]) @ np.swapaxes(P, 1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row with no finite fit raises below
+        xis = sym_part((P / np.sqrt(w)[:, None, :]) @ np.swapaxes(P, 1, 2))
     fits = []
     for spec, x_r, xi, q_r, ok, k in zip(specs, x, xis, q, converged, steps):
         beta = prep.beta_max if x_r == top else math.exp(x_r)

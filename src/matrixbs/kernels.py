@@ -110,31 +110,26 @@ def sample_symmetric(kernel: KernelSpec, rng: np.random.Generator,
                      count: int | None = None) -> np.ndarray:
     """Draw n x m matrices from the zero-mean, identity-scale elliptical family.
 
-    Returns one (n, m) draw, or a (count, n, m) stack of count draws that
-    consumes rng exactly as count one-draw calls would, so a stack equals
-    those draws bit for bit.  Gaussian: i.i.d. standard normal entries.
-    Kotz: radius R with r R^(2s) ~ Gamma(shape, rate 1) times a uniform
-    direction on the unit sphere in R^(nm).
+    Returns one (n, m) draw, or a (count, n, m) stack of count draws.
+    Gaussian: i.i.d. standard normal entries, so a stack equals count
+    one-draw calls bit for bit.  Kotz: radius R with r R^(2s) ~ Gamma(shape,
+    rate 1) times a uniform direction on the unit sphere in R^(nm) (Fang,
+    Kotz and Ng), drawn as all count gamma variates, then all count normal
+    vectors: a fixed seed gives a fixed stack, but not the draws of count
+    one-draw calls.
     """
     n, m = kernel.n, kernel.m
     size = 1 if count is None else count
     if kernel.family == GAUSSIAN:
         Z = rng.standard_normal((size, n, m))
     else:
-        shape, r, power = kernel.gamma_shape(), kernel.r, 1.0 / (2.0 * kernel.s)
-        G = np.empty((size, n * m))
-        radius = np.empty((size, 1))
-        norm = np.empty((size, 1))
-        # one gamma then one normal vector per draw keeps the one-draw stream;
-        # Python's float ** and sqrt keep each draw's last bit as well
-        try:
-            for k in range(size):
-                radius[k] = (rng.standard_gamma(shape) / r) ** power
-                G[k] = g = rng.standard_normal(n * m)
-                norm[k] = math.sqrt(g @ g)
-        except OverflowError:
-            raise DomainError(f"the radius overflows at kotz power s={kernel.s:g}") from None
-        Z = (radius * (G / norm)).reshape(size, n, m)
+        W = rng.standard_gamma(kernel.gamma_shape(), size)
+        G = rng.standard_normal((size, n * m))
+        with np.errstate(over="ignore"):
+            radius = (W / kernel.r) ** (1.0 / (2.0 * kernel.s))
+        if not np.isfinite(radius).all():
+            raise DomainError(f"the radius overflows at kotz power s={kernel.s:g}")
+        Z = ((radius / np.sqrt(np.einsum("ki,ki->k", G, G)))[:, None] * G).reshape(size, n, m)
     return Z[0] if count is None else Z
 
 

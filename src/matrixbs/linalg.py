@@ -62,6 +62,12 @@ def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
     For a stack, the error names the first failing matrix as name[k] and
     carries its index as ``row``.
     """
+    return _spd_eigenvalues(S, name, tol)[0]
+
+
+def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
+    """check_spd's validation, returning the symmetrised copy and its
+    ascending eigenvalues, (m,) for a matrix or (K, m) for a stack."""
     S = np.asarray(S, dtype=float)
     stack = S.ndim == 3
     if not stack:
@@ -83,10 +89,11 @@ def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
     if asym.any():
         fail(NotSymmetricError, asym, f"is not symmetric within {tol:g} relative")
     S = 0.5 * (S + St)
-    w_min = np.linalg.eigvalsh(S)[:, 0]
+    w = np.linalg.eigvalsh(S)
+    w_min = w[:, 0]
     if (w_min <= 0.0).any():
         fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
-    return S if stack else S[0]
+    return (S, w) if stack else (S[0], w[0])
 
 
 def spd_sqrt(B) -> np.ndarray:

@@ -9,7 +9,8 @@ as-published constant describes the same shape at 2^{-m} of the mass.
 A batch of K draws is one computation on stacks: a (K, n, m) stack of Z
 from one kernel call, one batched branch inverse giving the (K, n, m)
 stack of V, and the (K, m, m) stack of T.  sample_V and sample_T are the
-same path at K = 1.
+same path at K = 1.  A Kotz kernel draws all K radii before all K
+directions, so K one-draw calls give other Kotz draws than one batch.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ def sample_batch(params: GbsParams, kernel: KernelSpec, count: int,
     """K independent draws of T, with provenance recorded for reproducibility.
 
     The draws are computed as one (K, n, m) stack of V and its (K, m, m)
-    stack of T = V'V; they equal K successive sample_T calls on the same
-    generator bit for bit.  Passing an integer uses it as the seed of a
-    fresh generator and records it in the batch; passing a generator
-    records no seed.
+    stack of T = V'V, so a fixed seed gives a fixed batch.  For the
+    Gaussian kernel they equal K successive sample_T calls on the same
+    generator bit for bit; the Kotz kernel's stacked stream draws all radii
+    first, so its batch differs from K one-draw calls.  Passing an integer
+    uses it as the seed of a fresh generator and records it in the batch;
+    passing a generator records no seed.
     """
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")

@@ -41,6 +41,16 @@ TIE_TOL = 1e-10
 # Distance from the unit singular value at which product-form Jacobians
 # are treated as sitting on the zero boundary.
 BOUNDARY_TOL = 1e-12
+# Relative size below which a cosine between two columns of Z Xi Q counts
+# as rounding, and a column's norm against the largest as rounding noise
+# with no reliable direction.
+ORTHO_TOL = 64 * np.finfo(float).eps
+# A slice leaves the one-sided Jacobi sweeps after a sweep that found no
+# cosine above JACOBI_TOL: convergence is quadratic, so its columns are
+# then orthogonal to rounding.  The cap only ends a slice that never
+# settles.
+JACOBI_TOL = 1e-8
+JACOBI_SWEEPS = 30
 
 __all__ = ["GbsParams", "JacobianReport", "forward_map", "inverse_map_branch",
            "jacobian_det_form", "jacobian_fd_oracle", "jacobian_report",
@@ -114,16 +124,95 @@ def forward_map(V, params: GbsParams) -> np.ndarray:
     return core @ np.linalg.inv(params.xi)
 
 
+def _cosines(P: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per slice of a (K, m, n) stack of rows P with norms d, the largest
+    |cosine| between two rows (0 for m = 1; nan where a row is zero)."""
+    m = P.shape[1]
+    top = np.zeros(P.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(m):
+            for j in range(i + 1, m):
+                g = np.einsum("kn,kn->k", P[:, i], P[:, j])
+                top = np.maximum(top, np.abs(g) / (d[:, i] * d[:, j]))
+    return top
+
+
+def _jacobi_sweep(P: np.ndarray, Qt: np.ndarray) -> np.ndarray:
+    """One cyclic sweep of one-sided Jacobi rotations over the rows of each
+    (m, n) slice of P, in place: each rotation makes a pair of rows
+    orthogonal and turns the same pair of rows of Qt.  Returns per slice
+    the largest |cosine| between two rows before their rotation."""
+    K, m = P.shape[:2]
+    top = np.zeros(K)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(m):
+            for j in range(i + 1, m):
+                a, b = P[:, i], P[:, j]
+                aa, bb, g = (np.einsum("kn,kn->k", a, a), np.einsum("kn,kn->k", b, b),
+                             np.einsum("kn,kn->k", a, b))
+                top = np.maximum(top, np.abs(g) / np.sqrt(aa * bb))
+                zeta = (bb - aa) / (2.0 * g)
+                t = np.where(g == 0.0, 0.0, np.sign(zeta) / (np.abs(zeta) + np.hypot(1.0, zeta)))
+                c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                s = c * t[:, None]
+                for A in (P, Qt):
+                    A[:, i], A[:, j] = c * A[:, i] - s * A[:, j], s * A[:, i] + c * A[:, j]
+    return top
+
+
+def _branch_factors(Y: np.ndarray):
+    """Y = H1 diag(d) Q' for a (K, n, m) stack Y, with d in descending order;
+    returns H1' as (K, m, n), d as (K, m) and Q' as (K, m, m).
+
+    One batched eigh of the Gram matrix Y'Y gives Q.  eigh fixes the
+    directions of Y's small singular vectors only to eps |Y|^2 over the
+    gaps of Y'Y, so where the columns of Y Q are not orthogonal to
+    ORTHO_TOL, one-sided Jacobi sweeps over them, each rotation applied to
+    Q as well, make them orthogonal from the columns themselves.  H1 is
+    the columns over their norms d.  A column with no part above
+    ORTHO_TOL of the largest is rounding noise with no reliable direction;
+    it is replaced by the canonical vector least in the span of the
+    columns before it, so H1 stays orthonormal when Y is rank deficient.
+    """
+    n = Y.shape[1]
+    Qt = np.linalg.eigh(np.swapaxes(Y, 1, 2) @ Y)[1][:, :, ::-1].transpose(0, 2, 1)
+    P = Qt @ np.swapaxes(Y, 1, 2)  # one row per column of Y Q, descending
+    d = np.sqrt(np.einsum("kmn,kmn->km", P, P))
+    swept = live = np.flatnonzero(_cosines(P, d) > ORTHO_TOL)
+    for _ in range(JACOBI_SWEEPS):
+        if not live.size:
+            break
+        part, turn = P[live], Qt[live]
+        top = _jacobi_sweep(part, turn)
+        P[live], Qt[live] = part, turn
+        d[live] = np.sqrt(np.einsum("kmn,kmn->km", part, part))
+        live = live[top > JACOBI_TOL]
+    if swept.size:  # a rotation may reorder the norms
+        order = np.argsort(-d[swept], axis=1)
+        d[swept] = np.take_along_axis(d[swept], order, axis=1)
+        P[swept] = np.take_along_axis(P[swept], order[:, :, None], axis=1)
+        Qt[swept] = np.take_along_axis(Qt[swept], order[:, :, None], axis=1)
+    weak = ~(d > ORTHO_TOL * d[:, :1])
+    P /= np.where(weak, 1.0, d)[:, :, None]
+    for k, j in zip(*np.nonzero(weak)):
+        rest = np.eye(n) - P[k, :j].T @ P[k, :j]
+        e = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
+        P[k, j] = e / math.sqrt(e @ e)
+    return P, d, Qt
+
+
 def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.ndarray:
     """Right inverse of forward_map on the branch with singular values >= 1.
 
     Z is one (n, m) matrix, giving one (n, m) V, or a (K, n, m) stack,
-    giving a (K, n, m) stack mapped slice by slice in one batched SVD.
-    Factors Y = Z Xi as H1 diag(d) Q' and maps each singular value through
-    l = (d + sqrt(d^2 + 4)) / 2 >= 1, returning V = H1 diag(l) Q' Delta.
-    Z = 0 returns the canonical fixed point [I_m; 0] Delta.  Tied singular
-    values of Z Xi are rejected (pass tie_tol=0 to disable the gate); for a
-    stack the error carries the index of the first tied slice as ``row``.
+    giving a (K, n, m) stack mapped slice by slice.  Factors Y = Z Xi as
+    H1 diag(d) Q' from one batched eigh of the Gram matrix Y'Y, which gives
+    Q, with H1 and the singular values d from the columns of Y Q
+    (_branch_factors).  Each d maps through l = (d + sqrt(d^2 + 4)) / 2
+    >= 1, returning V = H1 diag(l) Q' Delta.  Z = 0 returns the canonical
+    fixed point [I_m; 0] Delta.  Tied singular values of Z Xi are rejected
+    (pass tie_tol=0 to disable the gate); for a stack the error carries the
+    index of the first tied slice as ``row``.
     """
     Z = np.asarray(Z, dtype=float)
     stack = Z.ndim == 3
@@ -136,7 +225,7 @@ def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.nda
     if (n, m) != (params.n, params.m):
         raise DomainError(f"Z has shape {Z.shape[1:]}, params expect ({params.n}, {params.m})")
     zero = ~Z.any(axis=(1, 2))
-    H1, d, Qt = np.linalg.svd(Z @ params.xi, full_matrices=False)
+    Ht, d, Qt = _branch_factors(Z @ params.xi)
     if tie_tol > 0.0 and m > 1:
         gaps = (d[:, :-1] - d[:, 1:]).min(axis=1)
         tied = (gaps < tie_tol * np.maximum(d[:, 0], 1.0)) & ~zero
@@ -147,7 +236,7 @@ def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.nda
                 f"{where} singular values (gap {gaps[k]:g}) admit no unique inverse",
                 row=k if stack else None)
     ell = 0.5 * (d + np.sqrt(d * d + 4.0))
-    V = (H1 * ell[:, None, :]) @ Qt @ params.delta
+    V = np.swapaxes(Ht * ell[:, :, None], 1, 2) @ Qt @ params.delta
     if zero.any():
         V[zero] = np.eye(n, m) @ params.delta
     return V if stack else V[0]

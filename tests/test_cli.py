@@ -166,11 +166,14 @@ class TestSampleCommand:
         assert "n_p" in result["notes"]
 
     def test_byte_identical_given_seed(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
-            assert run("sample", "--n", "4", "--m", "2", "--count", "6",
-                       "--seed", "11", "--out", str(path)) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # a Gaussian CSV, and the stacked Kotz stream written as JSON
+        kotz = ("--family", "kotz", "--q", "2", "--r", "0.5", "--s", "1.5")
+        for model, suffix in (((), ".csv"), (kotz, ".json")):
+            a, b = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+            for path in (a, b):
+                assert run("sample", "--n", "4", "--m", "2", "--count", "6", *model,
+                           "--seed", "11", "--out", str(path)) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run("sample", "--n", "4", "--m", "2", "--count", "6",
@@ -352,6 +355,7 @@ class TestConfig:
         assert done.returncode == 2
         assert f"s={power}" in done.stderr
         assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "compare"])

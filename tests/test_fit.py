@@ -23,6 +23,8 @@ from matrixbs.kernels import gaussian_kernel, kotz_kernel
 from matrixbs.sampling import sample_batch
 from matrixbs.transform import GbsParams
 
+from conftest import per_draw_svd_batch
+
 
 XI_TRUE = np.array([[1.0, 0.3], [0.3, 0.8]])
 
@@ -281,11 +283,12 @@ BULK_MULTISTART = {1.0: -74555.4197986639, 1.5: -74549.78155914469}
 
 
 def _bulk_batch():
-    """m = 3, K = 2000 Kotz batch with a full scale, as in the bulk benchmark."""
+    """m = 3, K = 2000 Kotz batch with a full scale, as in the bulk benchmark,
+    drawn as BULK_MULTISTART's maxima were computed on it."""
     beta = np.array([[100.0, 10.0, 0.0], [10.0, 120.0, 5.0], [0.0, 5.0, 90.0]])
     xi = np.array([[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 1.2]])
-    return sample_batch(GbsParams(n=8, xi=xi, beta=beta),
-                        kotz_kernel(2.0, 0.5, 1.5, 8, 3), 2000, 2026)
+    return per_draw_svd_batch(GbsParams(n=8, xi=xi, beta=beta),
+                              kotz_kernel(2.0, 0.5, 1.5, 8, 3), 2000, 2026)
 
 
 def _inv_sqrt(M):
@@ -499,8 +502,8 @@ class TestKotzProfile:
 
     def test_unit_order_above_threshold_converged(self):
         # the same flag leaves an m = 1 fit whose q is above (3 - n)/2 alone
-        batch = sample_batch(GbsParams(n=2, xi=[[0.5]], beta=[[1.0]]),
-                             kotz_kernel(2.0, 0.5, 1.0, 2, 1), 30, 6)
+        batch = per_draw_svd_batch(GbsParams(n=2, xi=[[0.5]], beta=[[1.0]]),
+                                   kotz_kernel(2.0, 0.5, 1.0, 2, 1), 30, 6)
         kotz = fit_mle(batch, FitSpec(family="kotz", s=3.0), 2)
         assert 0.5 < kotz.q < 1.0
         assert kotz.converged

@@ -10,7 +10,7 @@ from matrixbs.density import Convention, logpdf_T
 from matrixbs.errors import DomainError, OutsideSupportError
 from matrixbs.kernels import gaussian_kernel, kotz_kernel, sample_symmetric
 from matrixbs.sampling import SampleBatch, sample_T, sample_V, sample_batch
-from matrixbs.transform import GbsParams, forward_map
+from matrixbs.transform import JACOBI_SWEEPS, JACOBI_TOL, ORTHO_TOL, GbsParams, forward_map
 
 from conftest import rand_spd
 
@@ -134,21 +134,59 @@ class TestSampleBatch:
             SampleBatch(m=2, count=3, matrices=np.zeros((3, 2, 3)))
 
 
+def per_draw_factors(Y):
+    """Y = H1 diag(d) Q' for one (n, m) matrix Y, as loops over rows and
+    rotations: eigh of Y'Y, then, unless the columns of Y Q are orthogonal
+    to ORTHO_TOL, one-sided Jacobi sweeps until one finds no cosine above
+    JACOBI_TOL.  Returns H1', d and Q'."""
+    Qt = np.linalg.eigh(Y.T @ Y)[1][:, ::-1].T.copy()
+    P = Qt @ Y.T  # one row per column of Y Q, descending
+    m = len(P)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    d = np.sqrt(np.einsum("mn,mn->m", P, P))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = [abs(np.einsum("n,n->", P[i], P[j])) / (d[i] * d[j]) for i, j in pairs]
+        swept = max(cosines, default=0.0) > ORTHO_TOL
+        for _ in range(JACOBI_SWEEPS if swept else 0):
+            top = 0.0
+            for i, j in pairs:
+                aa, bb, g = (np.einsum("n,n->", P[i], P[i]), np.einsum("n,n->", P[j], P[j]),
+                             np.einsum("n,n->", P[i], P[j]))
+                top = max(top, abs(g) / np.sqrt(aa * bb))
+                zeta = (bb - aa) / (2.0 * g)
+                t = 0.0 if g == 0.0 else np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                for A in (P, Qt):
+                    A[i], A[j] = c * A[i] - c * t * A[j], c * t * A[i] + c * A[j]
+            d = np.sqrt(np.einsum("mn,mn->m", P, P))
+            if not top > JACOBI_TOL:
+                break
+    if swept:
+        order = np.argsort(-d)
+        d, P, Qt = d[order], P[order], Qt[order]
+    return P / d[:, None], d, Qt
+
+
 def per_draw_oracle(params, kernel, count, seed):
-    """The sampler as a loop: one kernel draw, one 2-D SVD and one T per draw."""
+    """The sampler as a loop: per draw one Z, per_draw_factors of Z Xi and
+    one T.  The Kotz variates come as the stream draws them, all gamma
+    radii then all normal directions, and the radii are one array power,
+    since numpy's vectorised power may round a last bit differently from
+    the scalar one."""
     rng = np.random.default_rng(seed)
     n, m = kernel.n, kernel.m
+    if kernel.family == "gaussian":
+        Zs = [rng.standard_normal((n, m)) for _ in range(count)]
+    else:
+        W = rng.standard_gamma(kernel.gamma_shape(), count)
+        G = rng.standard_normal((count, n * m))
+        radius = (W / kernel.r) ** (1.0 / (2.0 * kernel.s))
+        Zs = [((rad / math.sqrt(np.einsum("i,i->", g, g))) * g).reshape(n, m)
+              for rad, g in zip(radius, G)]
     out = []
-    for _ in range(count):
-        if kernel.family == "gaussian":
-            Z = rng.standard_normal((n, m))
-        else:
-            w = rng.standard_gamma(kernel.gamma_shape())
-            radius = (w / kernel.r) ** (1.0 / (2.0 * kernel.s))
-            g = rng.standard_normal(n * m)
-            Z = (radius * (g / np.linalg.norm(g))).reshape(n, m)
-        H1, d, Qt = np.linalg.svd(Z @ params.xi, full_matrices=False)
-        V = (H1 * (0.5 * (d + np.sqrt(d * d + 4.0)))) @ Qt @ params.delta
+    for Z in Zs:
+        Ht, d, Qt = per_draw_factors(Z @ params.xi)
+        V = (Ht * (0.5 * (d + np.sqrt(d * d + 4.0)))[:, None]).T @ Qt @ params.delta
         S = V.T @ V
         out.append(0.5 * (S + S.T))
     return np.array(out)
@@ -172,25 +210,42 @@ class TestBatchedSampler:
 
     @pytest.mark.parametrize("family", ["gaussian", "kotz"])
     def test_one_draw_views_follow_the_batch(self, family):
+        # sample_T and sample_V are the batch path at K = 1; a Gaussian stack
+        # also equals K one-draw calls, a Kotz stack (all radii, then all
+        # directions) does not
         params = GbsParams(n=5, xi=np.array([[1.0, 0.3], [0.3, 0.8]]), beta=3.0)
         kernel = (gaussian_kernel(5, 2) if family == "gaussian"
                   else kotz_kernel(0.7, 2.0, 0.8, 5, 2))
-        batch = sample_batch(params, kernel, 4, 21)
         rng = np.random.default_rng(21)
-        assert np.array_equal(batch.matrices,
-                              [sample_T(params, kernel, rng) for _ in range(4)])
+        singles = [sample_T(params, kernel, rng) for _ in range(4)]
         rng = np.random.default_rng(21)
-        for T in batch.matrices:
+        assert np.array_equal(singles, [sample_batch(params, kernel, 1, rng).matrices[0]
+                                        for _ in range(4)])
+        rng = np.random.default_rng(21)
+        for T in singles:
             V = sample_V(params, kernel, rng)
             S = V.T @ V
             assert np.array_equal(T, 0.5 * (S + S.T))
+        batch = sample_batch(params, kernel, 4, 21)
+        assert np.array_equal(batch.matrices, singles) == (family == "gaussian")
 
     def test_kernel_stack_equals_one_draw_calls(self):
-        kernel = kotz_kernel(2.0, 0.5, 1.5, 4, 3)
-        stack = sample_symmetric(kernel, np.random.default_rng(8), 5)
+        # a Gaussian stack is count one-draw calls; a Kotz stack draws count
+        # gamma radii r R^(2s), then count normal directions
+        gauss, kotz = gaussian_kernel(4, 3), kotz_kernel(2.0, 0.5, 1.5, 4, 3)
+        stack = sample_symmetric(gauss, np.random.default_rng(8), 5)
         rng = np.random.default_rng(8)
         assert stack.shape == (5, 4, 3)
-        assert np.array_equal(stack, [sample_symmetric(kernel, rng) for _ in range(5)])
+        assert np.array_equal(stack, [sample_symmetric(gauss, rng) for _ in range(5)])
+        stack = sample_symmetric(kotz, np.random.default_rng(8), 5)
+        rng = np.random.default_rng(8)
+        radius = (rng.standard_gamma(kotz.gamma_shape(), 5) / 0.5) ** (1.0 / 3.0)
+        G = rng.standard_normal((5, 12))
+        expected = radius[:, None] * G / np.linalg.norm(G, axis=1)[:, None]
+        assert stack.shape == (5, 4, 3)
+        assert np.allclose(stack.reshape(5, 12), expected, rtol=1e-15, atol=0.0)
+        rng = np.random.default_rng(8)
+        assert not np.array_equal(stack, [sample_symmetric(kotz, rng) for _ in range(5)])
 
     @pytest.mark.parametrize("count", [1, 300])
     def test_traced_layers_called_once_per_batch(self, monkeypatch, count):

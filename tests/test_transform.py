@@ -145,6 +145,56 @@ class TestInverseMapBranch:
         with pytest.raises(DomainError):
             inverse_map_branch(Z, p)
 
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_round_trip_at_spread_singular_values(self, m, ratio, rng):
+        # singular values of Z Xi spread geometrically from 3 to 3 ratio: eigh of
+        # the Gram matrix alone fixes the small directions only to eps / ratio
+        n = m + 2
+        p = GbsParams(n=n, xi=rand_spd(m, rng), beta=rand_spd(m, rng, 50.0, 150.0))
+        Z = np.empty((10, n, m))
+        for k in range(10):
+            U = np.linalg.qr(rng.normal(size=(n, m)))[0]
+            W = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            Z[k] = (U * np.geomspace(3.0, 3.0 * ratio, m)) @ W.T @ np.linalg.inv(p.xi)
+        V = inverse_map_branch(Z, p)
+        for k in range(10):
+            assert np.abs(forward_map(V[k], p) - Z[k]).max() <= 1e-13 * np.abs(Z[k]).max()
+
+    @pytest.mark.parametrize("full_xi", [False, True])
+    @pytest.mark.parametrize("m,column", [(2, 0), (2, 1), (3, 1), (3, 2)])
+    def test_zero_column_round_trips(self, m, column, full_xi, rng):
+        # Z Xi has rank m - 1; with a diagonal Xi its column for the zero
+        # singular value is exactly zero and has no direction of its own
+        n = m + 2
+        xi = rand_spd(m, rng) if full_xi else np.diag(rng.uniform(0.5, 2.0, size=m))
+        p = GbsParams(n=n, xi=xi, beta=rand_spd(m, rng, 50.0, 150.0))
+        Z = rng.normal(size=(n, m))
+        Z[:, column] = 0.0
+        V = inverse_map_branch(Z, p)
+        assert np.isfinite(V).all()
+        assert np.abs(forward_map(V, p) - Z).max() <= 1e-13 * np.abs(Z).max()
+
+    @pytest.mark.parametrize("tied", ["largest", "smallest"])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tie_gate_under_rotation(self, m, tied, rng):
+        # two singular values of Z Xi 1e-12 apart relative, in random directions
+        # under a full Xi, are rejected; 1e-6 apart they invert
+        n = m + 2
+        p = GbsParams(n=n, xi=rand_spd(m, rng), beta=rand_spd(m, rng, 50.0, 150.0))
+        U = np.linalg.qr(rng.normal(size=(n, m)))[0]
+        W = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        base = 3.0 if tied == "largest" else 3e-3
+        for gap, rejected in ((1e-12, True), (1e-6, False)):
+            d = np.array([base, base * (1.0 - gap), 1.0])[:m]
+            Z = (U * d) @ W.T @ np.linalg.inv(p.xi)
+            if rejected:
+                with pytest.raises(DegenerateEigenvaluesError):
+                    inverse_map_branch(Z, p)
+            else:
+                V = inverse_map_branch(Z, p)
+                assert np.abs(forward_map(V, p) - Z).max() <= 1e-13 * np.abs(Z).max()
+
     def test_second_preimage_m1(self, rng):
         # reciprocal-radius, flipped-direction vector maps to the same Z
         p = scalar_params(n=3, xi=0.8, beta=2.0)
