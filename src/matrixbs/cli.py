@@ -56,6 +56,9 @@ MAX_ITER_HELP = ("Newton-step budget of a Kotz fit, and evaluation budget of the
                  " fit's search in log beta on the likelihood's slope (default 5000)")
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matrixbs",
@@ -177,10 +180,13 @@ def _convention(args) -> Convention:
 
 def _emit(args, text_payload, json_payload) -> None:
     """Write the JSON payload to a .json --out, else the text payload to
-    --out or stdout.  Both are callables; only the one written is built."""
+    --out or stdout.  Both are callables; only the one written is built.
+    The JSON payload is an object to dump, or its text already dumped."""
     if args.out and args.out.lower().endswith(".json"):
-        Path(args.out).write_text(json.dumps(json_payload(), indent=2) + "\n",
-                                  encoding="utf-8")
+        payload = json_payload()
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, indent=2) + "\n"
+        Path(args.out).write_text(payload, encoding="utf-8")
     elif args.out:
         Path(args.out).write_text(text_payload(), encoding="utf-8")
     else:
@@ -197,9 +203,9 @@ def _cmd_density(args) -> int:
                        beta=_parse_triangle(args.beta, m, "beta"))
     kernel = _kernel(args, args.n, m)
     conv = _convention(args)
-    values = logpdf_T(batch.matrices, params, kernel, conv).tolist()
-    _emit(args, lambda: "".join(f"{v:.17g}\n" for v in values),
-          lambda: {"logpdf": values, "convention": conv.value})
+    values = logpdf_T(batch.matrices, params, kernel, conv)
+    _emit(args, lambda: "".join(f"{v:.17g}\n" for v in values.tolist()),
+          lambda: dataio.density_to_json(values, conv.value))
     return 0
 
 
@@ -266,7 +272,8 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    parser = _PARSER = _PARSER or _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {"density": _cmd_density, "sample": _cmd_sample, "fit": _cmd_fit,

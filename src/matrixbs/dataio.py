@@ -9,7 +9,6 @@ accepted).  The format is picked by file extension.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -23,8 +22,8 @@ from .linalg import check_spd
 from .sampling import SampleBatch
 from .transform import GbsParams
 
-__all__ = ["format_fit_text", "format_profile_table", "fit_result_to_dict",
-           "profile_to_dict", "read_batch", "write_batch"]
+__all__ = ["density_to_json", "format_fit_text", "format_profile_table",
+           "fit_result_to_dict", "profile_to_dict", "read_batch", "write_batch"]
 
 
 def _triangle_pairs(m: int):
@@ -49,7 +48,7 @@ def _batch_to_csv(batch: SampleBatch) -> str:
 
 
 def _batch_from_csv(text: str) -> SampleBatch:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise DataFormatError("empty CSV file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -61,8 +60,8 @@ def _batch_from_csv(text: str) -> SampleBatch:
     try:
         if any(line.count(",") != width - 1 for line in body):
             raise ValueError
-        # one lazy pass over every cell: no per-row list outlives its row
-        cells = itertools.chain.from_iterable(line.split(",") for line in body)
+        # one pass over every cell of the body joined into one line
+        cells = ",".join(body).split(",")  # count=0 reads nothing of an empty body
         upper = np.fromiter(map(float, cells), float, count=len(body) * width)
     except ValueError:
         for k, line in enumerate(body):  # name the first bad row
@@ -128,6 +127,15 @@ def _batch_to_json(batch: SampleBatch) -> str:
     block = ",\n".join([matrix] * batch.count) % tuple(values)
     head, _, tail = json.dumps(obj, indent=2).partition('"matrices": []')
     return "".join([head, '"matrices": [\n', block, "\n  ]", tail, "\n"])
+
+
+def density_to_json(values: np.ndarray, convention: str) -> str:
+    """The text json.dumps({"logpdf": values, "convention": convention},
+    indent=2) gives plus a newline, with the values filled from one template."""
+    head, _, tail = json.dumps({"logpdf": [], "convention": convention},
+                               indent=2).partition("[]")
+    block = "[\n    " + ",\n    ".join(_json_numbers(values)) + "\n  ]" if values.size else "[]"
+    return "".join([head, block, tail, "\n"])
 
 
 def _batch_from_json(text: str) -> SampleBatch:

@@ -30,9 +30,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .kernels import KernelSpec, log_h
-from .linalg import as_matrix, check_spd, log_mv_gamma, sym_part
+from .linalg import _spd_cholesky, as_matrix, log_mv_gamma, sym_part
 from .transform import (
     GbsParams,
+    _branch_factors,
     branch_eigs,
     log_abs_gfactor,
     log_jacobian_sv,
@@ -131,22 +132,30 @@ def trace_argument(W: np.ndarray, xi: np.ndarray) -> float:
 
 def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """trace_argument from eigenvalues w (..., m) and eigenvectors P (..., m, m)."""
-    inner = (P * (w + 1.0 / w - 2.0)[..., None, :]) @ np.swapaxes(P, -1, -2)
+    inner = (P * ((w - 1.0) ** 2 / w)[..., None, :]) @ np.swapaxes(P, -1, -2)
     M = np.linalg.inv(xi @ xi)
     return np.maximum(np.einsum("ij,...ij->...", M, inner), 0.0)
 
 
-def _whitened_spectrum(Y: np.ndarray, A: np.ndarray):
-    """Eigen-system of A^{-T} Y A^{-1} for SPD Y (m x m or a (K, m, m) stack).
+def _whitened_spectrum(L: np.ndarray, A: np.ndarray):
+    """Eigen-system of W = A^{-T} Y A^{-1} for SPD Y = L L', from the
+    Cholesky factor L (m x m or a (K, m, m) stack) that validated Y.
 
-    Factors Y = L L' and takes the singular values of L' A^{-1}, so the
-    conditioning of A enters only linearly.  Returns (eigenvalues
+    The eigenvalues are the squared singular values of G = L' A^{-1}, so
+    the conditioning of A enters only linearly.  G is factored as the
+    sampler factors Z Xi (transform._branch_factors): eigh of W = G'G,
+    then one-sided Jacobi sweeps where the columns of G Q are not
+    orthogonal.  Where every eigenvalue is at least 1.001 (m = 1 to 5,
+    singular values up to 1e12 apart), the eigenvalues and the trace
+    argument are within 1e-12 relative of numpy's SVD of G, or of 50-digit
+    values where that SVD strays further; near a tied eigenvalue at 1 both
+    routes are good only to about eps / (delta - 1).  Returns (eigenvalues
     descending, eigenvectors as columns).
     """
-    L = np.linalg.cholesky(Y)
-    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)   # W = G' G
-    _, s, Vt = np.linalg.svd(G)
-    return s * s, np.swapaxes(Vt, -1, -2)
+    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)
+    _, d, Qt = _branch_factors(G if G.ndim == 3 else G[None])
+    deltas, vecs = d * d, np.swapaxes(Qt, 1, 2)
+    return (deltas, vecs) if L.ndim == 3 else (deltas[0], vecs[0])
 
 
 def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: float,
@@ -218,11 +227,11 @@ def _slogdet(A: np.ndarray) -> float:
     return float(np.linalg.slogdet(A)[1])
 
 
-def _logpdf_scaled(Y, A: np.ndarray, logdet_scale: float, params: GbsParams,
+def _logpdf_scaled(L, A: np.ndarray, logdet_scale: float, params: GbsParams,
                    kernel: KernelSpec, convention: Convention, name: str):
-    """Log T-density of SPD Y (one matrix or a stack) under the scale A'A,
-    with logdet_scale = log|A'A|; A = Delta gives the law of T itself."""
-    deltas, vecs = _whitened_spectrum(Y, A)
+    """Log T-density of SPD Y = L L' (one matrix or a stack) under the scale
+    A'A, with logdet_scale = log|A'A|; A = Delta gives the law of T itself."""
+    deltas, vecs = _whitened_spectrum(L, A)
     if (deltas[..., -1] <= 0.0).any():
         raise NotSpdError(f"{name} is numerically singular after whitening")
     _check_branch_support(deltas, convention, name)
@@ -238,15 +247,16 @@ def logpdf_T(T, params: GbsParams, kernel: KernelSpec,
     T is one m x m matrix, giving a float, or a (K, m, m) stack, giving an
     array of K values, one per matrix.  Every scale beta takes the same
     route: the eigenvalues of beta^{-1} T are the squared singular values of
-    L' Delta^{-1}, with T = L L'.  Under the branch convention a matrix
+    L' Delta^{-1}, with T = L L' the Cholesky factorisation that validates
+    T (_whitened_spectrum).  Under the branch convention a matrix
     outside the branch region raises OutsideSupportError; for a stack the
     error names the matrix as T[k] and carries k as ``row``.
     """
-    T = check_spd(T, "T")
+    T, L = _spd_cholesky(T, "T")
     _check_kernel_dims(kernel, params.n, params.m)
     if T.shape[-1] != params.m:
         raise DomainError(f"T is {T.shape[-1]}x{T.shape[-1]}, expected m={params.m}")
-    value = _logpdf_scaled(T, params.delta, _slogdet(params.beta), params, kernel,
+    value = _logpdf_scaled(L, params.delta, _slogdet(params.beta), params, kernel,
                            convention, "T")
     return float(value) if T.ndim == 2 else value
 
@@ -258,8 +268,7 @@ def gfactor_sign(T, params: GbsParams) -> int:
     log densities always use the magnitude, so this is the diagnostic for
     points where the as-published formula goes negative.
     """
-    T = check_spd(T, "T")
-    deltas, _ = _whitened_spectrum(T, params.delta)
+    deltas, _ = _whitened_spectrum(_spd_cholesky(T, "T")[1], params.delta)
     _, sign = log_abs_gfactor(deltas, params.n, params.m, form="first")
     return sign
 
@@ -271,12 +280,12 @@ def logpdf_T_inverse(S, params: GbsParams, kernel: KernelSpec,
     Agrees with logpdf_T(S^{-1}) - (m+1) log|det S| by the change of
     variables (dT) = |det S|^{-(m+1)} (dS).
     """
-    S = check_spd(S, "S")
+    S, L = _spd_cholesky(S, "S")
     _check_kernel_dims(kernel, params.n, params.m)
     n, m = params.n, params.m
     if S.shape[0] != m:
         raise DomainError(f"S is {S.shape[0]}x{S.shape[0]}, expected m={m}")
-    w, vecs = _whitened_spectrum(S, np.linalg.inv(params.delta))  # of Delta S Delta
+    w, vecs = _whitened_spectrum(L, np.linalg.inv(params.delta))  # of Delta S Delta
     if w[-1] <= 0.0:
         raise NotSpdError("delta S delta is numerically singular")
     rhos = 1.0 / w[::-1]
@@ -294,7 +303,7 @@ def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,
 
     Agrees with logpdf_T(C'^{-1} Y C^{-1}) - (m+1) log|det C|.
     """
-    Y = check_spd(Y, "Y")
+    Y, L = _spd_cholesky(Y, "Y")
     C = as_matrix(C, "C")
     _check_kernel_dims(kernel, params.n, params.m)
     m = params.m
@@ -304,5 +313,5 @@ def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,
     if sign_c == 0:
         raise SingularMatrixError("C is singular")
     # Y has the T-law with scale C' beta C: log|C' beta C| = log|beta| + 2 log|det C|
-    return float(_logpdf_scaled(Y, params.delta @ C, _slogdet(params.beta) + 2.0 * logdet_C,
+    return float(_logpdf_scaled(L, params.delta @ C, _slogdet(params.beta) + 2.0 * logdet_C,
                                 params, kernel, convention, "Y"))

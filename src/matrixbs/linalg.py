@@ -59,15 +59,18 @@ def sym_part(S: np.ndarray) -> np.ndarray:
 def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
     """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
 
-    For a stack, the error names the first failing matrix as name[k] and
-    carries its index as ``row``.
+    Positive definiteness is one batched Cholesky factorisation, which
+    completes where the smallest eigenvalue is above about eps |S|; only a
+    stack that fails is scanned by eigenvalues.  For a stack, the error
+    names the first failing matrix as name[k] and carries k as ``row``.
     """
-    return _spd_eigenvalues(S, name, tol)[0]
+    return _spd_cholesky(S, name, tol)[0]
 
 
-def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
-    """check_spd's validation, returning the symmetrised copy and its
-    ascending eigenvalues, (m,) for a matrix or (K, m) for a stack."""
+def _symmetrised(S, name: str, tol: float):
+    """check_spd's finiteness and symmetry gates.  Returns the symmetrised
+    (K, m, m) stack, whether S was one, and fail(error, bad, detail), which
+    raises for the first matrix flagged in bad."""
     S = np.asarray(S, dtype=float)
     stack = S.ndim == 3
     if not stack:
@@ -88,7 +91,13 @@ def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
     asym = np.abs(S - St).max(axis=(1, 2)) > tol * scale
     if asym.any():
         fail(NotSymmetricError, asym, f"is not symmetric within {tol:g} relative")
-    S = 0.5 * (S + St)
+    return 0.5 * (S + St), stack, fail
+
+
+def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
+    """check_spd's validation by eigenvalues, returning the symmetrised copy
+    and its ascending eigenvalues, (m,) for a matrix or (K, m) for a stack."""
+    S, stack, fail = _symmetrised(S, name, tol)
     w = np.linalg.eigvalsh(S)
     w_min = w[:, 0]
     if (w_min <= 0.0).any():
@@ -96,9 +105,32 @@ def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
     return (S, w) if stack else (S[0], w[0])
 
 
+def _spd_cholesky(S, name: str = "matrix", tol: float = SYM_TOL):
+    """check_spd's validation, returning the symmetrised copy and its lower
+    Cholesky factor L, S = L L'.  A stack Cholesky rejects is scanned by
+    eigenvalues; where every eigenvalue is positive yet the factorisation
+    breaks down, the first such matrix is named the same way."""
+    S, stack, fail = _symmetrised(S, name, tol)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        w_min = np.linalg.eigvalsh(S)[:, 0]
+        if (w_min <= 0.0).any():
+            fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
+        for k, one in enumerate(S):
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                fail(NotSpdError, np.arange(len(S)) == k, "is not numerically positive"
+                     f" definite (Cholesky breaks down; smallest eigenvalue {w_min[k]:g})")
+    return (S, L) if stack else (S[0], L[0])
+
+
 def spd_sqrt(B) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix."""
     w, V = np.linalg.eigh(check_spd(B, "B"))
+    if w[0] <= 0.0:  # Cholesky can complete where eigh rounds an eigenvalue to <= 0
+        raise NotSpdError(f"B has non-positive eigenvalue {w[0]:g}")
     # descending order: the product below rounds differently in ascending order
     w, V = w[::-1].copy(), V[:, ::-1].copy()
     return sym_part((V * np.sqrt(w)) @ V.T)

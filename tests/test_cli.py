@@ -214,6 +214,53 @@ class TestDensityCommand:
         assert np.allclose(payload["logpdf"], expected, rtol=1e-12)
 
 
+    def test_json_byte_identical_to_json_dumps(self, tmp_path):
+        # a -Infinity row: at T = beta (1 + 1e-13), n > m, the as-published
+        # product factor vanishes
+        from matrixbs.density import Convention, logpdf_T
+
+        beta = np.array([[2.0, 0.3], [0.3, 1.5]])
+        params = GbsParams(n=5, xi=np.array([[1.0, 0.2], [0.2, 0.7]]), beta=beta)
+        T = sample_batch(params, gaussian_kernel(5, 2), 6, 3).matrices
+        T[4] = beta * (1.0 + 1e-13)
+        data, out = tmp_path / "rows.csv", tmp_path / "dens.json"
+        write_batch(data, SampleBatch(m=2, count=6, matrices=T))
+        assert run("density", "--data", str(data), "--n", "5", "--beta", "2,0.3,1.5",
+                   "--xi", "1,0.2,0.7", "--convention", "as-published",
+                   "--out", str(out)) == 0
+        values = logpdf_T(read_batch(data).matrices, params, gaussian_kernel(5, 2),
+                          Convention.AS_PUBLISHED).tolist()
+        assert values[4] == -np.inf and np.isfinite(np.delete(values, 4)).all()
+        want = json.dumps({"logpdf": values, "convention": "as-published"}, indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize("values", [[], [-1.5], [0.1, -0.0, 1e300, -np.inf, np.nan],
+                                        [-2.25, np.inf, 3.0]])
+    def test_json_writer_matches_json_dumps(self, values):
+        from matrixbs.dataio import density_to_json
+
+        for convention in ("branch", "as-published"):
+            want = json.dumps({"logpdf": values, "convention": convention}, indent=2) + "\n"
+            assert density_to_json(np.array(values, dtype=float), convention) == want
+
+    def test_near_singular_row_exits_two_without_traceback(self, tmp_path):
+        # eigvalsh calls this matrix positive definite, Cholesky does not
+        data = tmp_path / "near.csv"
+        data.write_text("t11,t12,t22\n1.8815403921096419,0.47210860729198595,"
+                        "0.118459607890358\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "matrixbs.cli", "density", "--data",
+                               str(data), "--n", "4", "--beta", "1e-30", "--xi", "1",
+                               "--convention", "as-published"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode in (0, 2)
+        assert "Traceback" not in done.stderr
+        if done.returncode == 2:
+            assert "row 1: matrix is not positive definite" in done.stderr
+
+
 class TestCompareCommand:
     def test_three_row_table_with_baseline(self, pop_csv, capsys):
         code = run("compare", "--data", str(pop_csv), "--n", "6",
@@ -367,6 +414,35 @@ class TestConfig:
         assert "need degrees n >= m, got n=1, m=2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_calls_parse_independently(self, pop_csv, tmp_path, monkeypatch):
+        # one parser serves every main() call; nothing of a call's flags or
+        # config reaches the next
+        from matrixbs import cli
+
+        seen = []
+        for name in ("_cmd_fit", "_cmd_density", "_cmd_sample"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 7, "family": "kotz", "s": 1.5, "max_iter": 40}),
+                       encoding="utf-8")
+        assert run("fit", "--config", str(cfg), "--data", str(pop_csv)) == 0
+        parser = cli._PARSER
+        assert run("density", "--data", str(pop_csv), "--n", "6", "--beta", "100",
+                   "--xi", "1") == 0
+        assert run("fit", "--data", str(pop_csv), "--n", "6") == 0
+        assert run("sample", "--config", str(cfg.with_name("none.json"))) == 2
+        assert run("fit", "--config", str(cfg), "--n", "8", "--data", str(pop_csv)) == 0
+        assert cli._PARSER is parser
+        first, dens, plain, again = seen
+        assert (first["n"], first["family"], first["s"], first["max_iter"]) == (7, "kotz",
+                                                                                1.5, 40)
+        assert (dens["command"], dens["n"], dens["family"], dens["beta"]) == (
+            "density", 6, None, "100")
+        assert "max_iter" not in dens
+        assert (plain["n"], plain["family"], plain["s"], plain["max_iter"],
+                plain["config"]) == (6, None, None, None, None)
+        assert (again["n"], again["family"], again["max_iter"]) == (8, "kotz", 40)
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")
@@ -374,8 +450,10 @@ class TestConfig:
 
 
 def test_cli_import_skips_optimizer_and_validation():
-    # nor a process pool: the grid's rows are one batched solve
-    code = ("import sys, matrixbs.cli; print(sorted(m for m in sys.modules"
+    # nor a process pool: the grid's rows are one batched solve; nor the
+    # argument parser, which the first main() call builds
+    code = ("import sys, matrixbs.cli; assert matrixbs.cli._PARSER is None;"
+            " print(sorted(m for m in sys.modules"
             " if m in ('matrixbs.validate', 'concurrent.futures.process')"
             " or m.split('.')[0] in ('scipy', 'multiprocessing')))")
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -485,3 +485,130 @@ class TestKernelIdentityEverywhere:
             assert logpdf_elementwise(Tpos, ep, gk) == pytest.approx(
                 logpdf_elementwise(Tpos, ep, kk), abs=1e-10)
         assert checks == 100
+
+
+def _rotation(m, rng):
+    Q, R = np.linalg.qr(rng.normal(size=(m, m)))
+    return Q * np.sign(np.diag(R))
+
+
+def _factor_with_whitened(G, A):
+    """A Cholesky factor L with L' A^{-1} = Q' G for an orthogonal Q, so
+    W = A^{-T} L L' A^{-1} = G'G: from the QR factorisation G A = Q R, L = R'."""
+    _, R = np.linalg.qr(G @ A)
+    return (R * np.sign(np.diag(R))[:, None]).T
+
+
+def svd_whitened_spectrum(L, A):
+    """The whitening by numpy's SVD of G = L' A^{-1}, the test oracle."""
+    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)
+    _, s, Vt = np.linalg.svd(G)
+    return s * s, np.swapaxes(Vt, -1, -2)
+
+
+class TestWhitenedSpectrum:
+    """_whitened_spectrum (Gram eigh plus guarded Jacobi sweeps) against the
+    SVD of the same G."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_svd_oracle(self, m):
+        # 40 cases per singular-value ratio, every eigenvalue at least 1.001.
+        # Where the two routes differ by more than 1e-12 the SVD is the one
+        # off (gesdd's error is absolute in |G|): 50-digit eigenvalues of
+        # G'G referee those matrices, and the new route must be within
+        # 1e-12 of them.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(100 + m)
+        for ratio in 10.0 ** -np.arange(1, 13):
+            A = rng.normal(size=(m, m)) + 3.0 * np.eye(m)
+            xi = rand_spd(m, rng)
+            L = np.empty((40, m, m))
+            for k in range(40):  # singular values of G from s_min / ratio down to s_min
+                s_min = math.sqrt(1.001 + 2.0 * rng.uniform())
+                s = s_min * ratio ** -np.sort(np.r_[1.0, rng.uniform(size=max(m - 2, 0)),
+                                                    0.0][-m:])
+                L[k] = _factor_with_whitened((_rotation(m, rng) * s) @ _rotation(m, rng).T, A)
+            got, got_vecs = density._whitened_spectrum(L, A)
+            want, want_vecs = svd_whitened_spectrum(L, A)
+            assert (want >= 1.001 * (1 - 1e-12)).all()
+            u_got = density._trace_argument_spectral(got, got_vecs, xi)
+            u_want = density._trace_argument_spectral(want, want_vecs, xi)
+            assert (np.abs(u_got - u_want) / u_want).max() < 1e-12
+            apart = (np.abs(got - want) / want).max(axis=1) > 1e-12
+            for k in np.flatnonzero(apart):
+                with mpmath.workdps(50):
+                    G = (mpmath.matrix(L[k].T.tolist())
+                         * mpmath.inverse(mpmath.matrix(A.tolist())))
+                    exact = np.sort([float(e) for e in mpmath.eigsy(G.T * G)[0]])[::-1]
+                assert (np.abs(got[k] - exact) / exact).max() < 1e-12
+            assert apart.sum() <= 2
+            one, one_vecs = density._whitened_spectrum(L[7], A)
+            assert np.array_equal(one, got[7]) and np.array_equal(one_vecs, got_vecs[7])
+
+    @pytest.mark.parametrize("c", [2.0, 50.0])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_tied_spectrum(self, c, m, rng):
+        A = rand_spd(m, rng, 0.5, 3.0)
+        L = np.array([_factor_with_whitened(math.sqrt(c) * _rotation(m, rng), A)
+                      for _ in range(20)])
+        xi = rand_spd(m, rng)
+        got, vecs = density._whitened_spectrum(L, A)
+        want, want_vecs = svd_whitened_spectrum(L, A)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(got, c, rtol=1e-12)
+        np.testing.assert_allclose(density._trace_argument_spectral(got, vecs, xi),
+                                   density._trace_argument_spectral(want, want_vecs, xi),
+                                   rtol=1e-12)
+
+    def test_tied_spectrum_next_to_one_reported(self, rng):
+        # W = c I with c = 1 + 1e-9: each route knows delta - 1 only to about
+        # eps / (c - 1), so this is a report, not an accuracy gate
+        m, c = 3, 1.0 + 1e-9
+        A = rand_spd(m, rng, 0.5, 3.0)
+        L = np.array([_factor_with_whitened(math.sqrt(c) * _rotation(m, rng), A)
+                      for _ in range(20)])
+        got, _ = density._whitened_spectrum(L, A)
+        want, _ = svd_whitened_spectrum(L, A)
+        spread = max(np.abs(got - c).max(), np.abs(want - c).max()) / (c - 1.0)
+        print(f"W = (1 + 1e-9) I, m = 3: delta - 1 off by {spread:.2g} relative")
+        assert spread < 1e-4
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+    def test_trace_argument_near_identity_exact(self, m, gap, rng):
+        mpmath = pytest.importorskip("mpmath")
+        w = 1.0 + gap * np.array([1.0, -0.7])[:m]
+        P = _rotation(m, rng)
+        xi = rand_spd(m, rng) if m > 1 else np.array([[1.0]])
+        got = density._trace_argument_spectral(w, P, xi)
+        with mpmath.workdps(50):
+            M = mpmath.inverse(mpmath.matrix(xi.tolist()) ** 2)
+            Pm = mpmath.matrix(P.tolist())
+            f = [(mpmath.mpf(v) - 1) ** 2 / mpmath.mpf(v) for v in w]
+            inner = Pm * mpmath.diag(f) * Pm.T
+            want = float(sum(M[i, j] * inner[i, j] for i in range(m) for j in range(m)))
+        assert abs(got - want) / want < (3e-16 if m == 1 else 1e-14)
+
+
+class TestNearSingularRows:
+    """Matrices that eigvalsh calls positive definite but Cholesky does not."""
+
+    NEAR = np.array([[1.8815403921096419, 0.47210860729198595],
+                     [0.47210860729198595, 0.118459607890358]])
+
+    @pytest.mark.parametrize("convention", [AP, BN])
+    def test_logpdf_T_names_the_row(self, convention, rng):
+        p = GbsParams(n=4, xi=np.eye(2), beta=1e-30)
+        T = np.array([rand_spd(2, rng) for _ in range(4)])
+        T[2] = self.NEAR
+        for call in (lambda: logpdf_T(T, p, gaussian_kernel(4, 2), convention),
+                     lambda: logpdf_T(self.NEAR, p, gaussian_kernel(4, 2), convention),
+                     lambda: density.gfactor_sign(self.NEAR, p),
+                     lambda: logpdf_T_inverse(self.NEAR, p, gaussian_kernel(4, 2), AP),
+                     lambda: logpdf_T_congruence(self.NEAR, np.eye(2), p,
+                                                 gaussian_kernel(4, 2), AP)):
+            with pytest.raises(NotSpdError, match="not numerically positive definite"):
+                call()
+        with pytest.raises(NotSpdError, match=r"^T\[2\] ") as err:
+            logpdf_T(T, p, gaussian_kernel(4, 2), convention)
+        assert err.value.row == 2

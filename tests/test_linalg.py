@@ -162,3 +162,81 @@ class TestPolygamma:
         for x in (6.5, 7.25, 7.999999, 8.0, 8.5):
             assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-14)
             assert trigamma(x + 1.0) == pytest.approx(trigamma(x) - 1.0 / x**2, rel=1e-14)
+
+
+class TestCheckSpd:
+    """The Cholesky route of check_spd against the eigenvalue route that
+    fit._Prepared keeps (_spd_eigenvalues)."""
+
+    @staticmethod
+    def _errors(S):
+        from matrixbs.linalg import _spd_eigenvalues, check_spd
+
+        raised = []
+        for route in (check_spd, _spd_eigenvalues):
+            with pytest.raises((DomainError, NotSpdError, NotSymmetricError)) as err:
+                route(S, "T")
+            raised.append((type(err.value), str(err.value), err.value.row))
+        return raised
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_bad_row_named_like_eigenvalue_route(self, k, rng):
+        stack = np.array([rand_spd(3, rng) for _ in range(5)])
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for bad, kind in ((Q @ np.diag([2.0, 1.0, -0.5]) @ Q.T, NotSpdError),
+                          (np.diag([2.0, 1.0, 0.0]), NotSpdError),
+                          (np.zeros((3, 3)), NotSpdError),
+                          (np.triu(np.ones((3, 3))), NotSymmetricError),
+                          (np.full((3, 3), np.inf), DomainError)):
+            S = stack.copy()
+            S[k] = bad
+            cholesky, eigenvalues = self._errors(S)
+            assert cholesky == eigenvalues
+            assert cholesky[0] is kind and cholesky[2] == k
+            assert cholesky[1].startswith(f"T[{k}] ")
+
+    def test_one_matrix_unindexed(self):
+        cholesky, eigenvalues = self._errors(np.diag([1.0, -2.0]))
+        assert cholesky == eigenvalues == (NotSpdError, "T has non-positive eigenvalue -2",
+                                           None)
+
+    def test_returns_symmetrised_copy_and_factor(self, rng):
+        from matrixbs.linalg import _spd_cholesky, _spd_eigenvalues, check_spd
+
+        S = np.array([rand_spd(3, rng) for _ in range(4)])
+        S[1, 0, 2] += 1e-14  # asymmetric within the tolerance
+        sym, L = _spd_cholesky(S)
+        assert np.array_equal(sym, _spd_eigenvalues(S)[0])
+        assert np.array_equal(sym, check_spd(S))
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ np.swapaxes(L, 1, 2) - sym).max() < 1e-14
+        one, L0 = _spd_cholesky(S[2])
+        assert np.array_equal(one, sym[2]) and np.array_equal(L0, L[2])
+
+    def test_factorisation_breakdown_named(self, rng):
+        # eigvalsh finds both eigenvalues positive; Cholesky breaks down on it
+        near = np.array([[1.8815403921096419, 0.47210860729198595],
+                         [0.47210860729198595, 0.118459607890358]])
+        assert np.linalg.eigvalsh(near)[0] > 0.0
+        S = np.array([rand_spd(2, rng) for _ in range(5)])
+        S[3] = near
+        from matrixbs.linalg import check_spd
+
+        with pytest.raises(NotSpdError, match=r"^T\[3\] is not numerically positive"
+                                              r" definite") as err:
+            check_spd(S, "T")
+        assert err.value.row == 3
+        with pytest.raises(NotSpdError, match=r"^T is not numerically positive definite"):
+            check_spd(near, "T")
+
+    def test_spd_sqrt_rejects_what_only_cholesky_passes(self):
+        # rank one up to rounding: potrf completes, eigh gives eigenvalue 0
+        from matrixbs.linalg import check_spd
+
+        B = np.array([[0.7238722559418536, 0.6035927101571665],
+                      [0.6035927101571665, 0.5032989685187469]])
+        if np.linalg.eigh(B)[0][0] > 0.0:
+            pytest.skip("this LAPACK rounds the small eigenvalue above zero")
+        check_spd(B)
+        with pytest.raises(NotSpdError, match="^B has non-positive eigenvalue"):
+            spd_sqrt(B)
