@@ -1,12 +1,21 @@
 """Command-line interface.
 
-Subcommands: ``density`` (evaluate the matrix log density on a data
-file), ``sample`` (write a synthetic batch), ``fit`` (maximum likelihood
-for one family), ``compare`` (Kotz power grid against the Gaussian
-baseline), and ``validate`` (run the built-in oracle suite).
+Subcommands and the flags each takes; every subcommand also takes
+``--config`` and ``--out``:
 
-Options may also come from a JSON config file via ``--config``; explicit
-flags win over config values.  All randomness flows from ``--seed``.
+- ``density`` evaluates the matrix log density on a data file:
+  ``--data --n --beta --xi --family --q --r --s --convention``;
+- ``sample`` writes a synthetic batch:
+  ``--n --m --count --seed --beta --xi --family --q --r --s``;
+- ``fit`` is maximum likelihood for one family:
+  ``--data --n --seed --family --s --convention --max-iter``;
+- ``compare`` grades a Kotz power grid against the Gaussian baseline:
+  ``--data --n --seed --s-grid --convention --max-iter``;
+- ``validate`` runs the built-in oracle suite: ``--seed``.
+
+A flag a subcommand does not take is a usage error.  Options may also
+come from a JSON config file via ``--config``; explicit flags win over
+config values.  All randomness flows from ``--seed``.
 Exit codes: 0 success, 1 validation failure, 2 usage or data error.
 """
 
@@ -52,8 +61,6 @@ def _int_at_least(low: int):
 
 _SEED = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
-MAX_ITER_HELP = ("Newton-step budget of a Kotz fit, and evaluation budget of the Gaussian"
-                 " fit's search in log beta on the likelihood's slope (default 5000)")
 
 
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
@@ -64,54 +71,46 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="matrixbs",
         description="Matrix-variate generalised Birnbaum-Saunders toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with defaults for these flags")
-        p.add_argument("--out", help="output file (.json for JSON, else text)")
-        p.add_argument("--seed", type=_SEED, help="seed for all randomness (default 0)")
-
-    def add_model(p):
-        p.add_argument("--family", choices=[GAUSSIAN, KOTZ], help="kernel family")
-        p.add_argument("--q", type=float, help="Kotz power of the radial term")
-        p.add_argument("--r", type=float, help="Kotz exponential rate")
-        p.add_argument("--s", type=float, help="Kotz exponent inside the exponential")
-        p.add_argument("--n", type=_POSITIVE, help="degrees parameter of the model")
-        p.add_argument("--convention", choices=sorted(CONVENTIONS),
-                       help="density normalisation convention (default branch)")
-
-    p = sub.add_parser("density", help="evaluate the matrix log density per data row")
-    add_common(p)
-    add_model(p)
-    p.add_argument("--data", help="CSV or JSON batch file")
-    p.add_argument("--beta", help="scale: one value for beta*I or m(m+1)/2"
-                                  " upper-triangle values, comma separated")
-    p.add_argument("--xi", help="shape: one value for xi*I or m(m+1)/2"
-                                " upper-triangle values, comma separated")
-
-    p = sub.add_parser("sample", help="draw a batch and write it to a file")
-    add_common(p)
-    add_model(p)
-    p.add_argument("--m", type=_POSITIVE, help="matrix order of each draw")
-    p.add_argument("--count", type=_POSITIVE, help="number of draws")
-    p.add_argument("--beta", help="scale parameter(s), as in density")
-    p.add_argument("--xi", help="shape parameter(s), as in density")
-
-    p = sub.add_parser("fit", help="maximum-likelihood fit of one family")
-    add_common(p)
-    add_model(p)
-    p.add_argument("--data", help="CSV or JSON batch file")
-    p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
-
-    p = sub.add_parser("compare", help="profile Kotz powers against the Gaussian baseline")
-    add_common(p)
-    add_model(p)
-    p.add_argument("--data", help="CSV or JSON batch file")
-    p.add_argument("--s-grid", help="comma-separated Kotz powers"
-                                    " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)")
-    p.add_argument("--max-iter", type=int, help=MAX_ITER_HELP)
-
-    p = sub.add_parser("validate", help="run the oracle cross-check suite")
-    add_common(p)
+    flags = {
+        "config": dict(help="JSON file with defaults for this command's flags"),
+        "out": dict(help="output file (.json for JSON, else text)"),
+        "seed": dict(type=_SEED, help="seed for all randomness (default 0)"),
+        "family": dict(choices=[GAUSSIAN, KOTZ], help="kernel family (default gaussian)"),
+        "q": dict(type=float, help="Kotz power of the radial term"),
+        "r": dict(type=float, help="Kotz exponential rate"),
+        "s": dict(type=float, help="Kotz power s, the exponent inside the exponential"),
+        "n": dict(type=_POSITIVE, help="degrees parameter of the model"),
+        "convention": dict(choices=sorted(CONVENTIONS),
+                           help="density normalisation convention (default branch)"),
+        "data": dict(help="CSV or JSON batch file"),
+        "beta": dict(help="scale: one value for beta*I or m(m+1)/2"
+                          " upper-triangle values, comma separated"),
+        "xi": dict(help="shape: one value for xi*I or m(m+1)/2"
+                        " upper-triangle values, comma separated"),
+        "m": dict(type=_POSITIVE, help="matrix order of each draw"),
+        "count": dict(type=_POSITIVE, help="number of draws"),
+        "s-grid": dict(help="comma-separated Kotz powers"
+                            " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)"),
+        "max-iter": dict(type=int, help="Newton-step budget of a Kotz fit, and evaluation"
+                                        " budget of the Gaussian fit's search in log beta"
+                                        " on the likelihood's slope (default 5000)"),
+    }
+    # each command takes exactly the flags its handler reads
+    commands = {
+        "density": ("evaluate the matrix log density per data row",
+                    "config out family q r s n convention data beta xi"),
+        "sample": ("draw a batch and write it to a file",
+                   "config out seed family q r s n m count beta xi"),
+        "fit": ("maximum-likelihood fit of one family",
+                "config out seed family s n convention data max-iter"),
+        "compare": ("profile Kotz powers against the Gaussian baseline",
+                    "config out seed n convention data s-grid max-iter"),
+        "validate": ("run the oracle cross-check suite", "config out seed"),
+    }
+    for command, (help_text, names) in commands.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            p.add_argument(f"--{name}", **flags[name])
     return parser
 
 
@@ -226,7 +225,7 @@ def _fit_spec(args, family: str, s: float = 1.0) -> FitSpec:
               "convention": _convention(args)}
     if family == KOTZ:
         kwargs["s"] = s
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         kwargs["max_iter"] = args.max_iter
     return FitSpec(**kwargs)
 

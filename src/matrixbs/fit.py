@@ -52,7 +52,7 @@ from .transform import log_abs_gfactor, log_gfactor_slope
 
 __all__ = ["EvidenceGrade", "FitResult", "FitSpec", "InitialGuess", "ProfileRow",
            "ProfileResult", "bic_star", "evidence_grade", "fit_mle", "init_guess",
-           "loglik", "outside_support", "profile_s_grid", "DEFAULT_S_GRID"]
+           "loglik", "profile_s_grid", "DEFAULT_S_GRID"]
 
 DEFAULT_S_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0)
 
@@ -108,6 +108,15 @@ class _Prepared:
         self.flat = np.stack([T, np.linalg.inv(T)]).reshape(2, self.K, -1)
 
 
+def _prepare_fit(data, n: int) -> tuple[np.ndarray, _Prepared]:
+    """The stack of data and its _Prepared, for a fit: at least two observations."""
+    mats = _as_stack(data, n)
+    prep = _Prepared(mats)
+    if prep.K < 2:
+        raise DomainError("fitting needs at least two observations")
+    return mats, prep
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
                      kernel: KernelSpec,
@@ -122,8 +131,11 @@ def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
     inv_w2 = 1.0 / (w * w)
     tT, tI = prep.flat @ ((P * inv_w2) @ P.T).ravel()  # traces against Xi^{-2}
     u = np.maximum(tT / beta + beta * tI - 2.0 * inv_w2.sum(), 0.0)
-    return log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
-                         float(np.log(w).sum()), kernel, convention, total=True)
+    value = log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
+                          float(np.log(w).sum()), kernel, convention, total=True)
+    # a term overflows (nan or +inf) only at an extreme beta, where the
+    # likelihood tends to -inf: u grows like beta or 1/beta, |G| polynomially
+    return value if value < math.inf else -math.inf
 
 
 def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
@@ -133,8 +145,11 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     Sums the T-density of density.log_t_density over the batch from the
     cached eigenvalues of the data, so it equals the sum of logpdf_T.  For
     degrees n > m, observations with an eigenvalue at or below beta are
-    outside the branch support and pull the value to -inf.
+    outside the branch support and pull the value to -inf.  A beta that is
+    not finite raises DomainError.
     """
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     mats = _as_stack(data, n)
     prep = _Prepared(mats)
     xi = check_spd(xi, "xi")
@@ -144,17 +159,6 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
         raise DomainError(
             f"kernel dims ({kernel.n}, {kernel.m}) do not match (n={n}, m={prep.m})")
     return _loglik_prepared(prep, n, float(beta), xi, kernel, convention)
-
-
-def outside_support(data, beta: float) -> list[int]:
-    """Indices of observations with an eigenvalue at or below beta.
-
-    These are the observations outside the branch region; for degrees
-    n > m they contribute -inf to the expanded log-likelihood.
-    """
-    mats = _as_stack(data)
-    lam_min = np.linalg.eigvalsh(mats)[:, 0]
-    return [int(k) for k in np.nonzero(lam_min <= beta)[0]]
 
 
 @dataclass(frozen=True)
@@ -605,10 +609,7 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     (ln beta, M, q), M = Xi^{-2}.  Deterministic; max_iter caps the
     Gaussian search's evaluations after its start and the Kotz Newton
     steps, and a fit that exhausts it is returned flagged, not raised."""
-    mats = _as_stack(data, n)
-    prep = _Prepared(mats)
-    if prep.K < 2:
-        raise DomainError("fitting needs at least two observations")
+    mats, prep = _prepare_fit(data, n)
     gauss = _fit_gaussian(prep, replace(spec, family=GAUSSIAN), n)
     if spec.family == KOTZ:
         return _fit_kotz(prep, [spec], n, init_guess(mats, n), gauss)[0]
@@ -650,11 +651,11 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
     fit_mle at its power bit for bit.  Rows that spend the
     iteration budget are kept flagged; the table is always emitted in full.
     """
-    mats, base = _as_stack(data, n), spec if spec is not None else FitSpec()
+    mats, prep = _prepare_fit(data, n)
+    base = spec if spec is not None else FitSpec()
     # FitSpec raises for a power that is not positive and finite
     specs = [replace(base, family=KOTZ, s=float(s)) for s in s_values]
-    prep = _Prepared(mats)
-    guess = init_guess(mats, n)  # raises for fewer than two observations
+    guess = init_guess(mats, n)
     gauss = _fit_gaussian(prep, replace(base, family=GAUSSIAN), n)
     fits = _fit_kotz(prep, specs, n, guess, gauss)
     return ProfileResult(baseline=gauss, rows=[

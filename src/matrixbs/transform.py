@@ -269,8 +269,7 @@ def _gfactor_pairs(n: int, m: int):
 
 
 @np.errstate(divide="ignore")
-def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
-                    boundary_tol: float = BOUNDARY_TOL, total: bool = False):
+def log_abs_gfactor(deltas, n: int, m: int, form: str = "first", total: bool = False):
     """log|G| and sign of the product-form Jacobian factor at eigenvalues deltas.
 
     first:   prod (1 - 1/d_i)^(n-m) (1 + 1/d_i) prod_{i<j} (1 - 1/(d_i d_j))
@@ -280,7 +279,7 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
     per set; total=True instead sums log|G| over the K axis of a (..., K, m)
     array, one sum per leading index, and returns no sign (None).  Returns
     (log_abs, sign); sign = 0 with log_abs = -inf on the zero set, anything
-    within boundary_tol of d_i = 1 (for n > m) or d_i d_j = 1.
+    within BOUNDARY_TOL of d_i = 1 (for n > m) or d_i d_j = 1.
     """
     d = np.moveaxis(np.asarray(deltas, dtype=float), -1, 0)  # one row per eigenvalue
     if form == "first":
@@ -293,7 +292,7 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first",
     F = x[rows[:, 0]] * x[rows[:, 1]]
     F = 1.0 - F if form == "first" else F - 1.0
     a = np.abs(F)
-    zero = a.min(axis=0, initial=np.inf) < boundary_tol
+    zero = a.min(axis=0, initial=np.inf) < BOUNDARY_TOL
     # summed factor by factor, so each value's rounding is its own
     log_abs = ((weights.reshape((-1,) + (1,) * (a.ndim - 1)) * np.log(a)).sum(axis=0)
                + (1 - max(n - m, 0)) * np.log1p(x).sum(axis=0))

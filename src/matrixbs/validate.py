@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from .density import Convention, logpdf_T, logpdf_T_congruence, logpdf_T_inverse, logpdf_uni_gbs
 from .kernels import KernelSpec, gaussian_kernel, kotz_kernel, log_h
+from .linalg import sym_part
 from .transform import GbsParams, forward_map, inverse_map_branch, jacobian_report
 
 __all__ = ["CheckResult", "run_validation", "format_report"]
@@ -29,13 +30,9 @@ class CheckResult:
     detail: str
 
 
-def _sym(A):
-    return 0.5 * (A + A.T)
-
-
 def _rand_spd(m, rng, lo=0.5, hi=2.0):
     Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-    return _sym(Q @ np.diag(rng.uniform(lo, hi, size=m)) @ Q.T)
+    return sym_part(Q @ np.diag(rng.uniform(lo, hi, size=m)) @ Q.T)
 
 
 def _check_jacobians(rng, trials=40):
@@ -156,7 +153,7 @@ def _check_transform_identities(rng, trials=20):
         b = logpdf_T(T, params, kernel, Convention.AS_PUBLISHED) - (m + 1) * logdet_S
         worst = max(worst, abs(a - b))
         C = rng.normal(size=(m, m)) + 0.5 * np.eye(m)
-        Y = _sym(C.T @ T @ C)
+        Y = sym_part(C.T @ T @ C)
         _, logdet_C = np.linalg.slogdet(C)
         a = logpdf_T_congruence(Y, C, params, kernel, Convention.AS_PUBLISHED)
         b = logpdf_T(T, params, kernel, Convention.AS_PUBLISHED) - (m + 1) * logdet_C

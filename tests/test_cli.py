@@ -443,6 +443,39 @@ class TestConfig:
                 plain["config"]) == (6, None, None, None, None)
         assert (again["n"], again["family"], again["max_iter"]) == (8, "kotz", 40)
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("density", "seed", "1"),
+        ("sample", "convention", "branch"),
+        ("fit", "q", "2"),
+        ("fit", "r", "0.5"),
+        ("compare", "family", "kotz"),
+        ("compare", "q", "2"),
+        ("compare", "r", "0.5"),
+        ("compare", "s", "1.5"),
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, command, flag, value, pop_csv,
+                                                      tmp_path, capsys):
+        # each subcommand takes only the flags its handler reads
+        base = ("--n", "6", *(("--m", "2") if command == "sample" else ("--data", str(pop_csv))))
+        with pytest.raises(SystemExit) as exc:
+            run(command, *base, f"--{flag}", value)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag: value}), encoding="utf-8")
+        assert run(command, "--config", str(cfg), *base) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_one_observation_exits_two(self, command, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        assert run("sample", "--n", "6", "--m", "2", "--count", "1", "--seed", "3",
+                   "--beta", "100", "--xi", "1,0.3,0.8", "--out", str(one)) == 0
+        out = tmp_path / "out.json"
+        assert run(command, "--data", str(one), "--n", "6", "--out", str(out)) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--bogus")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from matrixbs.fit import (
     fit_mle,
     init_guess,
     loglik,
-    outside_support,
     profile_s_grid,
 )
 from matrixbs.kernels import gaussian_kernel, kotz_kernel
@@ -69,8 +69,20 @@ class TestLoglik:
         batch = make_batch(10, 17)
         lam_min = np.linalg.eigvalsh(batch.matrices).min()
         assert loglik(batch, 6, lam_min * 1.01, XI_TRUE, gaussian_kernel(6, 2)) == -math.inf
-        assert outside_support(batch, lam_min * 1.01)
-        assert outside_support(batch, lam_min * 0.5) == []
+
+    @pytest.mark.parametrize("kernel", [gaussian_kernel(2, 2), kotz_kernel(1.5, 0.5, 1.0, 2, 2)],
+                             ids=["gaussian", "kotz"])
+    def test_never_nan(self, kernel):
+        # n = m: beta may pass every eigenvalue, and at an extreme beta the
+        # terms overflow; the likelihood's limit there is -inf
+        batch = make_batch(2, 5, xi=0.5 * np.eye(2), beta=1.0, n=2)
+        for beta in (1e200, 1e308, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert loglik(batch, 2, beta, 0.5 * np.eye(2), kernel) == -math.inf
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                loglik(batch, 2, beta, 0.5 * np.eye(2), kernel)
 
     def test_convention_shift_is_constant(self):
         batch = make_batch(12, 23)
@@ -129,6 +141,11 @@ class TestFitMle:
         assert np.abs((res.xi - XI_TRUE) / XI_TRUE).max() < 0.15
         assert res.n_params == 4
         assert res.n_support_violations == 0
+
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    def test_one_observation_raises(self, family):
+        with pytest.raises(DomainError):
+            fit_mle(make_batch(1, 11), FitSpec(family=family), 6)
 
     def test_refit_from_optimum_is_stable(self):
         batch = make_batch(40, 55)
@@ -664,6 +681,11 @@ class TestEvidenceGrade:
 class TestProfileGrid:
     def test_default_grid_shape(self):
         assert len(DEFAULT_S_GRID) == 10
+
+    @pytest.mark.parametrize("grid", [DEFAULT_S_GRID, ()], ids=["default", "empty"])
+    def test_one_observation_raises(self, grid):
+        with pytest.raises(DomainError):
+            profile_s_grid(make_batch(1, 11), grid, 6)
 
     def test_empty_grid(self):
         assert profile_s_grid(make_batch(20, 11), (), 6).rows == []

@@ -1,11 +1,15 @@
 """Static checks on the package source, in place of a linter: every import
 is used, every private module-level name is referenced somewhere in the
-package, and no module imports scipy.optimize."""
+package, no module imports scipy.optimize, and every flag a CLI
+subcommand defines is read for that subcommand."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from matrixbs.cli import _build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "matrixbs"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -78,3 +82,38 @@ def test_no_scipy_optimize(module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
     assert not [name for name in imported if name.startswith("scipy.optimize")]
+
+
+def _args_reads(name, functions, seen):
+    """Flags read from args in cli function name and in every cli function
+    it passes args to: args.<dest>, getattr(args, "<dest>", ...) and
+    _require(args, "<dest>", ...)."""
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and any(
+                isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args):
+            callee = node.func.id
+            if callee in ("getattr", "_require"):
+                reads |= {arg.value for arg in node.args[1:]
+                          if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+            elif callee in functions and callee not in seen:
+                reads |= _args_reads(callee, functions, seen)
+    return reads
+
+
+def test_every_cli_flag_is_read():
+    functions = {node.name: node for node in TREES["cli.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    common = _args_reads("main", functions, set())  # --config, through _merge_config
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, parser in subparsers.choices.items():
+        reads = common | _args_reads(f"_cmd_{command}", functions, set())
+        unread += [f"{command} --{action.dest.replace('_', '-')}" for action in parser._actions
+                   if action.dest != "help" and action.dest not in reads]
+    assert not unread, "flags never read: " + ", ".join(unread)
