@@ -13,7 +13,8 @@ Subcommands and the flags each takes; every subcommand also takes
   ``--data --n --seed --s-grid --convention --max-iter``;
 - ``validate`` runs the built-in oracle suite: ``--seed``.
 
-A flag a subcommand does not take is a usage error.  Options may also
+A flag a subcommand does not take is a usage error, and so is a Kotz
+parameter (``--q --r --s``) given without ``--family kotz``.  Options may also
 come from a JSON config file via ``--config``; explicit flags win over
 config values.  All randomness flows from ``--seed``.
 Exit codes: 0 success, 1 validation failure, 2 usage or data error.
@@ -76,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "out": dict(help="output file (.json for JSON, else text)"),
         "seed": dict(type=_SEED, help="seed for all randomness (default 0)"),
         "family": dict(choices=[GAUSSIAN, KOTZ], help="kernel family (default gaussian)"),
-        "q": dict(type=float, help="Kotz power of the radial term"),
-        "r": dict(type=float, help="Kotz exponential rate"),
-        "s": dict(type=float, help="Kotz power s, the exponent inside the exponential"),
+        "q": dict(type=float, help="Kotz power of the radial term (kotz family only)"),
+        "r": dict(type=float, help="Kotz exponential rate (kotz family only)"),
+        "s": dict(type=float, help="Kotz power s inside the exponential (kotz family only)"),
         "n": dict(type=_POSITIVE, help="degrees parameter of the model"),
         "convention": dict(choices=sorted(CONVENTIONS),
                            help="density normalisation convention (default branch)"),
@@ -163,13 +164,19 @@ def _parse_triangle(text, m: int, what: str) -> np.ndarray:
     return M
 
 
-def _kernel(args, n: int, m: int) -> KernelSpec:
+def _family(args, *names) -> str:
+    """The family of args; each Kotz parameter in names is required with kotz, refused without."""
     family = args.family or GAUSSIAN
-    if family == GAUSSIAN:
+    for name in names:
+        if (getattr(args, name) is None) == (family == KOTZ):
+            raise UsageError(f"--{name} is required for the kotz family" if family == KOTZ
+                             else f"--{name} applies only to --family kotz")
+    return family
+
+
+def _kernel(args, n: int, m: int) -> KernelSpec:
+    if _family(args, "q", "r", "s") == GAUSSIAN:
         return gaussian_kernel(n, m)
-    for p in ("q", "r", "s"):
-        if getattr(args, p) is None:
-            raise UsageError(f"--{p} is required for the kotz family")
     return kotz_kernel(args.q, args.r, args.s, n, m)
 
 
@@ -233,9 +240,7 @@ def _fit_spec(args, family: str, s: float = 1.0) -> FitSpec:
 def _cmd_fit(args) -> int:
     _require(args, "data", "n")
     batch = dataio.read_batch(args.data)
-    family = args.family or GAUSSIAN
-    if family == KOTZ and args.s is None:
-        raise UsageError("--s (fixed Kotz power) is required to fit the kotz family")
+    family = _family(args, "s")
     result = fit_mle(batch, _fit_spec(args, family, args.s), args.n)
     _emit(args, lambda: dataio.format_fit_text(result),
           lambda: dataio.fit_result_to_dict(result))

@@ -2,17 +2,18 @@
 
 The model has a scalar scale beta (beta I_m), an SPD shape matrix Xi, and
 for the Kotz family a fixed power s with (r, q).  The log-likelihood is
-the T-density of density.log_t_density summed over the batch, from
-per-observation eigenvalues cached once per dataset.  Both families search
-beta only up to beta_max = BETA_MARGIN * min eigenvalue: every
-observation then lies in the branch region, the support of the sampler's
-law, under either convention.  For n > m the likelihood is -inf beyond
-it; for n = m it stays finite there, but that is not the sampled law.
+the T-density of density.log_t_density summed over the batch, from one
+eigendecomposition T_k = P_k diag(lambda_k) P_k' per dataset (_Prepared).
+A_k = T_k / beta + beta T_k^{-1} - 2 I shares T_k's eigenvectors p, so each
+u_k = tr(Xi^{-2} A_k) sums the exact eigenvalues (lambda - beta)^2 /
+(lambda beta) against p' Xi^{-2} p, with no cancellation as beta nears an
+eigenvalue.  Both families search beta only up to beta_max = BETA_MARGIN *
+min eigenvalue: every observation then lies in the branch region, the
+support of the sampler's law, under either convention.  For n > m the
+likelihood is -inf beyond it; for n = m it stays finite there, but that is
+not the sampled law.
 
-Gaussian: at fixed beta the shape is in closed form,
-
-    Xi^2 = sum_k A_k(beta) / (K n),   A_k = T_k / beta + beta T_k^{-1} - 2 I,
-
+Gaussian: at fixed beta the shape is in closed form, Xi^2 = sum_k A_k / (K n),
 so the fit searches beta alone, for the zero of the profile likelihood's
 slope in ln beta over [beta_max / 1e6, beta_max], below which the
 likelihood is flat (_search_log_beta).
@@ -46,7 +47,7 @@ import numpy as np
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
-from .linalg import _spd_eigenvalues, check_spd, digamma, sym_part, trigamma
+from .linalg import _spd_eigh, check_spd, digamma, sym_part, trigamma
 from .sampling import SampleBatch
 from .transform import log_abs_gfactor, log_gfactor_slope
 
@@ -94,18 +95,29 @@ def _as_stack(data, n: int | None = None) -> np.ndarray:
 
 
 class _Prepared:
-    """Per-dataset quantities that do not depend on the parameters."""
+    """Per-dataset quantities that do not depend on the parameters, from the
+    one batched eigh T_k = P_k diag(lambda_k) P_k' that validates the data."""
 
     def __init__(self, mats: np.ndarray):
-        T, lam = _spd_eigenvalues(mats, "T")
-        self.K, self.m = T.shape[:2]
+        T, lam, P = _spd_eigh(mats, "T")
+        self.K, self.m = K, m = T.shape[:2]
         # (K, m) view of an (m, K) array: the layout log_abs_gfactor works in
         self.lam = np.ascontiguousarray(lam.T).T
         self.sum_log_lam = float(np.sum(np.log(lam)))
         self.min_lam = float(lam.min())
         self.beta_max = BETA_MARGIN * self.min_lam
-        # T and T^{-1} as (2, K, m*m): both traces are one matrix-vector product
-        self.flat = np.stack([T, np.linalg.inv(T)]).reshape(2, self.K, -1)
+        # M is held as theta, its upper triangle: E[k m + i] @ theta = p_ki' M p_ki
+        # for the (K m, p) stack E, column-major: one column per entry of theta
+        self.triu = rows, cols = np.triu_indices(m)
+        ev = np.swapaxes(P, 0, 1)   # (m, K, m): entry a of eigenvector i of T_k at [a, k, i]
+        outer = ev[rows] * ev[cols] * (1.0 + (rows != cols))[:, None, None]
+        self.E = outer.reshape(len(rows), K * m).T
+        self.sum_T, self.sum_inv = T.sum(axis=0), np.tensordot(ev / lam, ev, ([1, 2], [1, 2]))
+
+    def trace(self, theta, beta):
+        """u_k = tr(M A_k) per row of theta, for beta a float or of shape (rows, 1, 1)."""
+        w = (self.lam - beta) ** 2 / (self.lam * beta)   # the eigenvalues of A_k
+        return np.einsum("...i,...i->...", (self.E @ theta[..., None]).reshape(w.shape), w)
 
 
 def _prepare_fit(data, n: int) -> tuple[np.ndarray, _Prepared]:
@@ -128,9 +140,8 @@ def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
     w, P = np.linalg.eigh(xi)
     if w[0] <= 0.0:
         return -math.inf
-    inv_w2 = 1.0 / (w * w)
-    tT, tI = prep.flat @ ((P * inv_w2) @ P.T).ravel()  # traces against Xi^{-2}
-    u = np.maximum(tT / beta + beta * tI - 2.0 * inv_w2.sum(), 0.0)
+    theta = ((P / (w * w)) @ P.T)[prep.triu]   # Xi^{-2}
+    u = prep.trace(theta, beta)
     value = log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
                           float(np.log(w).sum()), kernel, convention, total=True)
     # a term overflows (nan or +inf) only at an extreme beta, where the
@@ -376,11 +387,10 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
     """The closed-form shape at each beta; iterations counts its evaluations.
     The search starts STEP0 below ln beta_max, near where optima sit."""
     K, m = prep.K, prep.m
-    sum_T, sum_inv = prep.flat.sum(axis=1).reshape(2, m, m)
 
     def spectrum(beta):
         """Eigenvalues and eigenvectors of Xi^2 at beta."""
-        return np.linalg.eigh(sym_part(sum_T / beta + beta * sum_inv) / (K * n)
+        return np.linalg.eigh(sym_part(prep.sum_T / beta + beta * prep.sum_inv) / (K * n)
                               - (2.0 / n) * np.eye(m))
 
     def slope_at(beta):
@@ -388,8 +398,8 @@ def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
         if w[0] <= 0.0:
             return math.nan
         M = (P / w) @ P.T
-        return _log_beta_slope(prep, n, beta, float(np.vdot(M, sum_T)),
-                               float(np.vdot(M, sum_inv)), -0.5)
+        return _log_beta_slope(prep, n, beta, float(np.vdot(M, prep.sum_T)),
+                               float(np.vdot(M, prep.sum_inv)), -0.5)
 
     beta, evals, success = _search_log_beta(prep.beta_max, math.log(prep.beta_max) - STEP0,
                                             slope_at, spec.max_iter)
@@ -417,21 +427,20 @@ class _KotzProfile:
 
     def __init__(self, prep: _Prepared, n: int):
         m = prep.m
-        rows, cols = np.triu_indices(m)
+        rows, cols = prep.triu
         p = len(rows)
         # dup @ theta = vec(M), so tr(M A) = (vec(A) @ dup) @ theta
         dup = np.zeros((m * m, p))
         dup[rows * m + cols, np.arange(p)] = 1.0
         dup[cols * m + rows, np.arange(p)] = 1.0
         self.prep, self.n, self.dup = prep, n, dup
-        self.t_flat, self.inv_flat = prep.flat @ dup   # (K, p) each
         self.eye = (rows == cols).astype(float)         # vec(I) @ dup
         self.half_kn = 0.5 * prep.K * n
         self.q_floor = (2.0 - n * m) / 2.0
         self.q_cap = self.q_floor + math.exp(LOG_Q_CAP)
 
     def theta_of(self, xi: np.ndarray) -> np.ndarray:
-        return sym_part(np.linalg.inv(xi @ xi))[np.triu_indices(self.prep.m)]
+        return sym_part(np.linalg.inv(xi @ xi))[self.prep.triu]
 
     def matrix(self, theta: np.ndarray) -> np.ndarray:
         """M per row of theta; non-finite entries read 0 (the row is infeasible)."""
@@ -439,9 +448,10 @@ class _KotzProfile:
         return np.where(np.isfinite(M), M, 0.0)
 
     def stack(self, x):
-        """e^x per row, as (rows, 1, 1), and the (rows, K, p) stack of A_k @ dup at x."""
-        beta = np.exp(x)[:, None, None]
-        return beta, self.t_flat / beta + beta * self.inv_flat - 2.0 * self.eye
+        """e^x per row, as (rows, 1, 1), and the (rows, K, p) stacks of A_k and dA_k / dx."""
+        beta, lam, m = np.exp(x)[:, None, None], self.prep.lam, self.prep.m
+        weights = np.stack([(lam - beta) ** 2, (beta - lam) * (beta + lam)]) / (lam * beta)
+        return (beta, *sum(weights[..., i, None] * self.prep.E[i::m] for i in range(m)))
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def radial(self, s, A, theta, q):
@@ -455,11 +465,11 @@ class _KotzProfile:
     def value(self, s, x, theta, q):
         """The log-likelihood per row up to a constant; -inf unless M is
         positive definite and q > q_floor."""
-        prep, (beta, A) = self.prep, self.stack(x)
+        prep, beta = self.prep, np.exp(x)[:, None, None]
         w = np.linalg.eigvalsh(self.matrix(theta))
         a = (q - self.q_floor) / s
         feasible = (w[:, 0] > 0.0) & (a > 0.0)
-        log_u = np.log((A @ theta[:, :, None])[:, :, 0])
+        log_u = np.log(prep.trace(theta, beta))
         norm = a * math.log(KOTZ_R) - np.array([math.lgamma(v) for v in np.where(feasible, a, 1)])
         log_g, _ = log_abs_gfactor(prep.lam / beta, self.n, prep.m, total=True)
         value = (prep.K * norm + self.half_kn * np.log(w).sum(axis=1)
@@ -490,13 +500,11 @@ class _KotzProfile:
         live = np.arange(len(s))
         while live.size:
             s_l, x_l, q_l, lo, hi = s[live], x[live], q[live], x_lo[live], x_hi[live]
-            beta, A = self.stack(x_l)
+            beta, A, dA = self.stack(x_l)
             th = self.radial(s_l, A, theta[live], q_l)
             a = (q_l - self.q_floor) / s_l
-            # dA / dx = e^x T^{-1} - e^-x T, and d^2 A / dx^2 = A + 2 I
-            dA = beta * self.inv_flat - self.t_flat / beta
             u, du = ((B @ th[:, :, None])[:, :, 0] for B in (A, dA))
-            d2u = u + 2.0 * (th * self.eye).sum(axis=1)[:, None]
+            d2u = u + 2.0 * (th * self.eye).sum(axis=1)[:, None]   # d^2 A / dx^2 = A + 2 I
             log_u = np.log(u)
             u_s = np.exp(s_l[:, None] * log_u)
             w, P = np.linalg.eigh(self.matrix(th))

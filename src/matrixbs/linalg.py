@@ -29,7 +29,6 @@ __all__ = [
     "check_spd",
     "commutation",
     "digamma",
-    "kron",
     "log_mv_gamma",
     "pinv",
     "spd_sqrt",
@@ -56,7 +55,7 @@ def sym_part(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
-def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
+def check_spd(S, name: str = "matrix") -> np.ndarray:
     """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
 
     Positive definiteness is one batched Cholesky factorisation, which
@@ -64,10 +63,10 @@ def check_spd(S, name: str = "matrix", tol: float = SYM_TOL) -> np.ndarray:
     stack that fails is scanned by eigenvalues.  For a stack, the error
     names the first failing matrix as name[k] and carries k as ``row``.
     """
-    return _spd_cholesky(S, name, tol)[0]
+    return _spd_cholesky(S, name)[0]
 
 
-def _symmetrised(S, name: str, tol: float):
+def _symmetrised(S, name: str):
     """check_spd's finiteness and symmetry gates.  Returns the symmetrised
     (K, m, m) stack, whether S was one, and fail(error, bad, detail), which
     raises for the first matrix flagged in bad."""
@@ -88,33 +87,33 @@ def _symmetrised(S, name: str, tol: float):
         fail(DomainError, ~finite, "contains non-finite entries")
     St = np.swapaxes(S, 1, 2)
     scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-    asym = np.abs(S - St).max(axis=(1, 2)) > tol * scale
+    asym = np.abs(S - St).max(axis=(1, 2)) > SYM_TOL * scale
     if asym.any():
-        fail(NotSymmetricError, asym, f"is not symmetric within {tol:g} relative")
+        fail(NotSymmetricError, asym, f"is not symmetric within {SYM_TOL:g} relative")
     return 0.5 * (S + St), stack, fail
 
 
-def _spd_eigenvalues(S, name: str = "matrix", tol: float = SYM_TOL):
-    """check_spd's validation by eigenvalues, returning the symmetrised copy
-    and its ascending eigenvalues, (m,) for a matrix or (K, m) for a stack."""
-    S, stack, fail = _symmetrised(S, name, tol)
-    w = np.linalg.eigvalsh(S)
+def _spd_eigh(S, name: str = "matrix"):
+    """check_spd's validation by eigenvalues, returning the symmetrised copy, its
+    ascending eigenvalues, (m,) or (K, m) for a stack, and eigenvectors as columns."""
+    S, stack, fail = _symmetrised(S, name)
+    w, P = np.linalg.eigh(S)
     w_min = w[:, 0]
     if (w_min <= 0.0).any():
         fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
-    return (S, w) if stack else (S[0], w[0])
+    return (S, w, P) if stack else (S[0], w[0], P[0])
 
 
-def _spd_cholesky(S, name: str = "matrix", tol: float = SYM_TOL):
+def _spd_cholesky(S, name: str = "matrix"):
     """check_spd's validation, returning the symmetrised copy and its lower
     Cholesky factor L, S = L L'.  A stack Cholesky rejects is scanned by
     eigenvalues; where every eigenvalue is positive yet the factorisation
     breaks down, the first such matrix is named the same way."""
-    S, stack, fail = _symmetrised(S, name, tol)
+    S, stack, fail = _symmetrised(S, name)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        w_min = np.linalg.eigvalsh(S)[:, 0]
+        w_min = np.linalg.eigh(S)[0][:, 0]
         if (w_min <= 0.0).any():
             fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
         for k, one in enumerate(S):
@@ -145,10 +144,6 @@ def pinv(A) -> np.ndarray:
             f"smallest singular value {s[-1]:g} below {RANK_TOL:g} of largest {s[0]:g}"
         )
     return np.linalg.solve(A.T @ A, A.T)
-
-
-def kron(A, B) -> np.ndarray:
-    return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
 
 
 def commutation(n: int, m: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from .linalg import (
     as_matrix,
     check_spd,
     commutation,
-    kron,
     pinv,
     spd_sqrt,
     sym_part,
@@ -342,9 +341,9 @@ def jacobian_det_form(V, params: GbsParams) -> float:
     vtp = vp.T                         # V'^+ = V (V'V)^{-1}
     vtv_inv = np.linalg.inv(V.T @ V)
     dinv = np.linalg.inv(params.delta)
-    inner = (kron(dinv, eye_n)
-             + kron(params.delta, eye_n)
-             @ (commutation(m, n) @ kron(vtp, vp) - kron(vtv_inv, eye_n - V @ vp)))
+    inner = (np.kron(dinv, eye_n)
+             + np.kron(params.delta, eye_n)
+             @ (commutation(m, n) @ np.kron(vtp, vp) - np.kron(vtv_inv, eye_n - V @ vp)))
     sign_xi, logdet_xi = np.linalg.slogdet(params.xi)
     sign_in, logdet_in = np.linalg.slogdet(inner)
     if sign_in == 0:

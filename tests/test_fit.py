@@ -23,7 +23,7 @@ from matrixbs.kernels import gaussian_kernel, kotz_kernel
 from matrixbs.sampling import sample_batch
 from matrixbs.transform import GbsParams
 
-from conftest import per_draw_svd_batch
+from conftest import per_draw_svd_batch, rand_spd
 
 
 XI_TRUE = np.array([[1.0, 0.3], [0.3, 0.8]])
@@ -92,6 +92,97 @@ class TestLoglik:
         b = loglik(batch, 6, 80.0, xi_v, gaussian_kernel(6, 2),
                    Convention.BRANCH_NORMALIZED)
         assert b - a == pytest.approx(12 * 2 * math.log(2.0), abs=1e-10)
+
+
+def _boundary_batch(n):
+    """The m = 1 fixture of the near-boundary checks: 20 univariate draws."""
+    return sample_batch(GbsParams(n, xi=[[0.8]], beta=[[1.5]]), gaussian_kernel(n, 1), 20, 3)
+
+
+class TestExactTrace:
+    """u_k = tr(Xi^{-2} A_k), A_k = T_k / beta + beta T_k^{-1} - 2 I, from the
+    eigenvalues (lambda - beta)^2 / (lambda beta) of A_k, against 50-digit
+    values as beta nears the smallest eigenvalue."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_trace_matches_50_digits(self, m, rotated):
+        from matrixbs.fit import _Prepared
+
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(10 * m + rotated)
+        beta = 1.7
+        xi = rand_spd(m, rng)
+        w, P = np.linalg.eigh(xi)
+        M = (P / (w * w)) @ P.T     # Xi^{-2} as the likelihood forms it
+        for gap in (1e-4, 1e-8, 1e-12):
+            spectra = beta * np.array([[1.0 + gap, 1.6, 2.9, 5.3][:m], [1.2, 2.2, 3.1, 7.0][:m]])
+            Q = (np.linalg.qr(rng.normal(size=(2, m, m)))[0] if rotated
+                 else np.broadcast_to(np.eye(m), (2, m, m)))
+            T = Q * spectra[:, None, :] @ np.swapaxes(Q, 1, 2)
+            T = 0.5 * (T + np.swapaxes(T, 1, 2))
+            prep = _Prepared(T)
+            u = prep.trace(M[prep.triu], beta)
+            with mpmath.workdps(50):
+                b, Mm = mpmath.mpf(beta), mpmath.matrix(M.tolist())
+                for k in range(2):
+                    Tm = mpmath.matrix(T[k].tolist())
+                    A = Tm / b + b * mpmath.inverse(Tm) - 2 * mpmath.eye(m)
+                    exact = sum((Mm * A)[i, i] for i in range(m))
+                    assert abs(u[k] - exact) <= 1e-12 * exact, (gap, k)
+
+    @pytest.mark.parametrize("n,q,smallest_eps,rel", [(1, 1.05, 1e-12, 1e-12),
+                                                      (2, 0.55, 1e-8, 1e-9)])
+    def test_loglik_near_boundary_matches_50_digits(self, n, q, smallest_eps, rel):
+        # for n > m the factor (1 - beta / t)^(n - 1) of G is left to its own
+        # rounding, which bounds the agreement there
+        mpmath = pytest.importorskip("mpmath")
+        batch = _boundary_batch(n)
+        ts = batch.matrices[:, 0, 0]
+        kernel = kotz_kernel(q, 0.5, 1.0, n, 1)
+        eps = 1e-4
+        while eps >= smallest_eps:
+            beta = float(ts.min() * (1.0 - eps))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = loglik(batch, n, beta, [[0.8]], kernel)
+            with mpmath.workdps(50):
+                b, xi, qm, nm = mpmath.mpf(beta), mpmath.mpf(0.8), mpmath.mpf(q), n
+                a = (2 * qm + nm - 2) / 2
+                const = (nm / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(mpmath.mpf(n) / 2)
+                         - nm / 2 * mpmath.log(b) - n * mpmath.log(xi) - mpmath.log(2)
+                         + a * mpmath.log(mpmath.mpf(0.5)) + mpmath.loggamma(mpmath.mpf(nm) / 2)
+                         - nm / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(a))
+                exact = 0
+                for t in map(mpmath.mpf, ts.tolist()):
+                    u = (t - b) ** 2 / (t * b * xi ** 2)
+                    exact += (const + (n - 1) * mpmath.log(1 - b / t) + mpmath.log(1 + b / t)
+                              + (mpmath.mpf(n) - 2) / 2 * mpmath.log(t)
+                              + (qm - 1) * mpmath.log(u) - u / 2)
+            assert value == pytest.approx(float(exact), rel=rel, abs=0.0), eps
+            eps /= 100.0
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (6, 2)])
+    def test_profile_value_is_loglik_up_to_a_constant(self, n, m):
+        # the solver's objective drops K ln s and terms of the data alone
+        from matrixbs.fit import KOTZ_R, _KotzProfile, _Prepared
+
+        batch = _boundary_batch(n) if m == 1 else make_batch(20, 41)
+        prep = _Prepared(batch.matrices)
+        profile = _KotzProfile(prep, n)
+        rng = np.random.default_rng(7 + n)
+        gaps = np.concatenate([[1e-12, 1e-8], rng.uniform(1e-3, 0.9, size=6)])
+        diffs = []
+        for gap in gaps:
+            x = math.log(prep.min_lam * (1.0 - gap))
+            xi = rand_spd(m, rng)
+            q = float(rng.uniform(0.6, 3.0))
+            s = float(rng.uniform(0.5, 3.0))
+            value = profile.value(np.array([s]), np.array([x]),
+                                  profile.theta_of(xi)[None], np.array([q]))[0]
+            full = loglik(batch, n, math.exp(x), xi, kotz_kernel(q, KOTZ_R, s, n, m))
+            diffs.append(value - (full - prep.K * math.log(s)))
+        assert np.ptp(diffs) <= 1e-9 * max(1.0, abs(diffs[0]))
 
 
 class TestInitGuess:

@@ -7,7 +7,6 @@ from matrixbs.errors import DomainError, NotSpdError, NotSymmetricError, RankDef
 from matrixbs.linalg import (
     commutation,
     digamma,
-    kron,
     log_mv_gamma,
     pinv,
     spd_sqrt,
@@ -98,8 +97,8 @@ class TestKronCommutation:
         # K_{pn} (A x B) = (B x A) K_{qm} for A n x m, B p x q
         A = rng.normal(size=(2, 2))
         B = rng.normal(size=(3, 2))
-        lhs = commutation(3, 2) @ kron(A, B)
-        rhs = kron(B, A) @ commutation(2, 2)
+        lhs = commutation(3, 2) @ np.kron(A, B)
+        rhs = np.kron(B, A) @ commutation(2, 2)
         assert np.allclose(lhs, rhs)
 
 
@@ -166,14 +165,14 @@ class TestPolygamma:
 
 class TestCheckSpd:
     """The Cholesky route of check_spd against the eigenvalue route that
-    fit._Prepared keeps (_spd_eigenvalues)."""
+    fit._Prepared keeps (_spd_eigh)."""
 
     @staticmethod
     def _errors(S):
-        from matrixbs.linalg import _spd_eigenvalues, check_spd
+        from matrixbs.linalg import _spd_eigh, check_spd
 
         raised = []
-        for route in (check_spd, _spd_eigenvalues):
+        for route in (check_spd, _spd_eigh):
             with pytest.raises((DomainError, NotSpdError, NotSymmetricError)) as err:
                 route(S, "T")
             raised.append((type(err.value), str(err.value), err.value.row))
@@ -201,12 +200,12 @@ class TestCheckSpd:
                                            None)
 
     def test_returns_symmetrised_copy_and_factor(self, rng):
-        from matrixbs.linalg import _spd_cholesky, _spd_eigenvalues, check_spd
+        from matrixbs.linalg import _spd_cholesky, _spd_eigh, check_spd
 
         S = np.array([rand_spd(3, rng) for _ in range(4)])
         S[1, 0, 2] += 1e-14  # asymmetric within the tolerance
         sym, L = _spd_cholesky(S)
-        assert np.array_equal(sym, _spd_eigenvalues(S)[0])
+        assert np.array_equal(sym, _spd_eigh(S)[0])
         assert np.array_equal(sym, check_spd(S))
         assert np.array_equal(L, np.tril(L))
         assert np.abs(L @ np.swapaxes(L, 1, 2) - sym).max() < 1e-14

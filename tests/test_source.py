@@ -1,7 +1,7 @@
 """Static checks on the package source, in place of a linter: every import
 is used, every private module-level name is referenced somewhere in the
-package, no module imports scipy.optimize, and every flag a CLI
-subcommand defines is read for that subcommand."""
+package, no module imports scipy (numpy is the one runtime dependency),
+and every flag a CLI subcommand defines is read for that subcommand."""
 
 import argparse
 import ast
@@ -81,7 +81,7 @@ def test_no_scipy_optimize(module):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-    assert not [name for name in imported if name.startswith("scipy.optimize")]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def _args_reads(name, functions, seen):
