@@ -77,7 +77,8 @@ def _check_kernel_dims(kernel: KernelSpec, n: int, m: int):
 
 
 def _uni_u(t: float, alpha: float, beta: float) -> float:
-    return max(t / beta + beta / t - 2.0, 0.0) / alpha**2
+    # t/beta + beta/t - 2 in the exact form, with no cancellation near t = beta
+    return (t - beta) ** 2 / (t * beta) / alpha**2
 
 
 def logpdf_uni_gbs(t: float, alpha: float, beta: float, kernel: KernelSpec) -> float:
@@ -114,7 +115,7 @@ def logpdf_elementwise(T, params: ElementwiseParams, kernel: KernelSpec) -> floa
     A, B = params.alpha, params.beta
     prefactor = float(np.sum(-1.5 * np.log(T) + np.log(T + B)
                              - math.log(2.0) - np.log(A) - 0.5 * np.log(B)))
-    u = float(np.sum(np.maximum(T / B + B / T - 2.0, 0.0) / A**2))
+    u = float(np.sum((T - B) ** 2 / (T * B) / A**2))
     return prefactor + log_h(kernel, u)
 
 
@@ -203,7 +204,7 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     _check_kernel_dims(kernel, params.n, params.m)
     eigs = branch_eigs(V, params)
     _check_branch_support(eigs, convention, "V")
-    log_j, _ = log_jacobian_sv(V, params, "first", check=False, eigs=eigs)
+    log_j, _ = log_jacobian_sv(eigs, params, "first")
     dinv = np.linalg.inv(params.delta)
     u = trace_argument(dinv @ (V.T @ V) @ dinv, params.xi)
     value = log_j + log_h(kernel, u)

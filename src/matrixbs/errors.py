@@ -25,10 +25,6 @@ class DomainError(MatrixBsError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class DegenerateEigenvaluesError(MatrixBsError):
-    """Coincident eigenvalues / singular values at the working tolerance."""
-
-
 class OutsideSupportError(MatrixBsError):
     """Point lies outside the support of the requested density."""
 

@@ -62,8 +62,7 @@ def _draw_V(params: GbsParams, kernel: KernelSpec, rng: np.random.Generator,
             f" ({params.n}, {params.m})")
     Z = sample_symmetric(kernel, rng, count)
     with np.errstate(over="ignore", invalid="ignore"):
-        # exact singular-value ties have probability zero; skip the uniqueness gate
-        V = inverse_map_branch(Z, params, tie_tol=0.0)
+        V = inverse_map_branch(Z, params)
         # tr V'V bounds every entry of T = V'V
         finite = np.isfinite(np.einsum("kij,kij->k", V, V)).all()
     if not finite:

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEigenvaluesError,
-    DomainError,
-    RankDeficientError,
-)
+from .errors import DomainError, RankDeficientError
 from .linalg import (
     as_matrix,
     check_spd,
@@ -35,8 +31,6 @@ from .linalg import (
     vec,
 )
 
-# Relative gap below which singular values count as tied.
-TIE_TOL = 1e-10
 # Distance from the unit singular value at which product-form Jacobians
 # are treated as sitting on the zero boundary.
 BOUNDARY_TOL = 1e-12
@@ -102,7 +96,7 @@ class JacobianReport:
 
     det_form: float
     sv_form: float
-    fd_form: float | None
+    fd_form: float
     rel_disagreement: float
     sign: int  # sign of the product-form factor before taking absolute value
 
@@ -200,7 +194,7 @@ def _branch_factors(Y: np.ndarray):
     return P, d, Qt
 
 
-def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.ndarray:
+def inverse_map_branch(Z, params: GbsParams) -> np.ndarray:
     """Right inverse of forward_map on the branch with singular values >= 1.
 
     Z is one (n, m) matrix, giving one (n, m) V, or a (K, n, m) stack,
@@ -209,9 +203,9 @@ def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.nda
     Q, with H1 and the singular values d from the columns of Y Q
     (_branch_factors).  Each d maps through l = (d + sqrt(d^2 + 4)) / 2
     >= 1, returning V = H1 diag(l) Q' Delta.  Z = 0 returns the canonical
-    fixed point [I_m; 0] Delta.  Tied singular values of Z Xi are rejected
-    (pass tie_tol=0 to disable the gate); for a stack the error carries the
-    index of the first tied slice as ``row``.
+    fixed point [I_m; 0] Delta.  V is a spectral function of Z Xi, so tied
+    singular values invert like any others: within a tied block H1 and Q
+    are not unique, but H1 diag(l) Q' is.
     """
     Z = np.asarray(Z, dtype=float)
     stack = Z.ndim == 3
@@ -225,15 +219,6 @@ def inverse_map_branch(Z, params: GbsParams, tie_tol: float = TIE_TOL) -> np.nda
         raise DomainError(f"Z has shape {Z.shape[1:]}, params expect ({params.n}, {params.m})")
     zero = ~Z.any(axis=(1, 2))
     Ht, d, Qt = _branch_factors(Z @ params.xi)
-    if tie_tol > 0.0 and m > 1:
-        gaps = (d[:, :-1] - d[:, 1:]).min(axis=1)
-        tied = (gaps < tie_tol * np.maximum(d[:, 0], 1.0)) & ~zero
-        if tied.any():
-            k = int(np.argmax(tied))
-            where = f"Z[{k}] has tied" if stack else "tied"
-            raise DegenerateEigenvaluesError(
-                f"{where} singular values (gap {gaps[k]:g}) admit no unique inverse",
-                row=k if stack else None)
     ell = 0.5 * (d + np.sqrt(d * d + 4.0))
     V = np.swapaxes(Ht * ell[:, :, None], 1, 2) @ Qt @ params.delta
     if zero.any():
@@ -351,22 +336,12 @@ def jacobian_det_form(V, params: GbsParams) -> float:
     return float(math.exp(-n * logdet_xi + logdet_in))
 
 
-def log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True,
-                    eigs: np.ndarray | None = None):
-    """log|Jacobian| of forward_map by the product form, and the factor's sign;
-    check rejects tied eigenvalues and the unit boundary.  eigs passes in
-    branch_eigs(V, params) when the caller has it already."""
+def log_jacobian_sv(g2, params: GbsParams, form: str):
+    """log|Jacobian| of forward_map by the product form, and the factor's sign,
+    at g2 = branch_eigs(V, params).  The form has no 1/(d_i - d_j) term, so
+    tied eigenvalues need no care; on the unit boundary it gives -inf and
+    sign 0, as the determinant form gives 0."""
     n, m = params.n, params.m
-    g2 = branch_eigs(V, params) if eigs is None else eigs
-    if check:
-        if m > 1:
-            gaps = g2[:-1] - g2[1:]
-            if gaps.min() < TIE_TOL * max(abs(g2[0]), 1.0):
-                raise DegenerateEigenvaluesError(
-                    f"tied eigenvalues of beta^{{-1}}V'V (gap {gaps.min():g})")
-        if np.abs(np.sqrt(g2) - 1.0).min() < BOUNDARY_TOL:
-            raise DegenerateEigenvaluesError(
-                "singular value of V Delta^{-1} on the unit boundary; Jacobian is zero")
     log_g, sign = log_abs_gfactor(g2, n, m, form=form)
     _, logdet_xi = np.linalg.slogdet(params.xi)
     _, logdet_beta = np.linalg.slogdet(params.beta)
@@ -375,7 +350,7 @@ def log_jacobian_sv(V, params: GbsParams, form: str, check: bool = True,
 
 def jacobian_sv_form(V, params: GbsParams, variant: str = "first") -> float:
     """|Jacobian| of forward_map via the singular-value product form."""
-    log_j, _ = log_jacobian_sv(V, params, variant)
+    log_j, _ = log_jacobian_sv(branch_eigs(V, params), params, variant)
     return float(math.exp(log_j))
 
 
@@ -396,16 +371,13 @@ def jacobian_fd_oracle(V, params: GbsParams, step: float = 1e-5) -> float:
     return 0.0 if sign == 0 else float(math.exp(logdet))
 
 
-def jacobian_report(V, params: GbsParams, step: float | None = 1e-5) -> JacobianReport:
+def jacobian_report(V, params: GbsParams) -> JacobianReport:
     """All Jacobian routes plus their worst pairwise relative disagreement."""
     det_val = abs(jacobian_det_form(V, params))
-    log_sv, sign = log_jacobian_sv(V, params, "first")
+    log_sv, sign = log_jacobian_sv(branch_eigs(V, params), params, "first")
     sv_val = float(math.exp(log_sv))
-    values = [det_val, sv_val, jacobian_sv_form(V, params, "second")]
-    fd_val = None
-    if step is not None:
-        fd_val = jacobian_fd_oracle(V, params, step)
-        values.append(fd_val)
+    fd_val = jacobian_fd_oracle(V, params)
+    values = [det_val, sv_val, jacobian_sv_form(V, params, "second"), fd_val]
     hi, lo = max(values), min(values)
     rel = 0.0 if hi == 0.0 else (hi - lo) / hi
     return JacobianReport(det_form=det_val, sv_form=sv_val, fd_form=fd_val,

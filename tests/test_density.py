@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,74 @@ class TestElementwise:
             logpdf_elementwise(np.array([[-0.5]]), p, G11)
         with pytest.raises(DomainError):
             ElementwiseParams(alpha=np.array([[0.0]]), beta=np.ones((1, 1)))
+
+
+def _exact_kotz_log_h(mpmath, u, q, r, s, nm):
+    """50-digit log Kotz generator at mpf u, normalising constant included."""
+    q, r, s = mpmath.mpf(q), mpmath.mpf(r), mpmath.mpf(s)
+    a = (2 * q + nm - 2) / (2 * s)
+    return (mpmath.log(s) + a * mpmath.log(r) + mpmath.loggamma(mpmath.mpf(nm) / 2)
+            - mpmath.mpf(nm) / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(a)
+            - r * u ** s + (q - 1) * mpmath.log(u))
+
+
+class TestNearScaleExact:
+    """At t close to beta the trace argument is (t - beta)^2 / (t beta) with no
+    cancellation, so a Kotz kernel with q < 1 stays finite and matches 50 digits."""
+
+    GAPS = [1e-4, -1e-4, 1e-8, -1e-8, 1e-12]
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_univariate(self, gap):
+        mpmath = pytest.importorskip("mpmath")
+        alpha, beta = 0.8, 1.5
+        t = beta * (1.0 + gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logpdf_uni_gbs(t, alpha, beta, kotz_kernel(0.55, 1.0, 1.0, 1, 1))
+        with mpmath.workdps(50):
+            tm, a, b = mpmath.mpf(t), mpmath.mpf(alpha), mpmath.mpf(beta)
+            u = (tm - b) ** 2 / (tm * b * a ** 2)
+            want = (-1.5 * mpmath.log(tm) + mpmath.log(tm + b) - mpmath.log(2)
+                    - mpmath.log(a) - mpmath.log(b) / 2
+                    + _exact_kotz_log_h(mpmath, u, 0.55, 1.0, 1.0, 1))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_elementwise(self, gap):
+        mpmath = pytest.importorskip("mpmath")
+        A = np.array([[0.8], [1.1]])
+        B = np.array([[1.5], [0.7]])
+        T = B * (1.0 + gap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logpdf_elementwise(T, ElementwiseParams(alpha=A, beta=B),
+                                     kotz_kernel(0.55, 1.0, 1.0, 2, 1))
+        with mpmath.workdps(50):
+            want, u = 0, 0
+            for t, a, b in zip(*(map(mpmath.mpf, X.ravel().tolist()) for X in (T, A, B))):
+                u += (t - b) ** 2 / (t * b * a ** 2)
+                want += (-1.5 * mpmath.log(t) + mpmath.log(t + b) - mpmath.log(2)
+                         - mpmath.log(a) - mpmath.log(b) / 2)
+            want += _exact_kotz_log_h(mpmath, u, 0.55, 1.0, 1.0, 2)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_square_root(self):
+        # v * v rounds to eps relative, which the 1e-8 gap magnifies to about 1e-8
+        # in u; the bound allows for that
+        mpmath = pytest.importorskip("mpmath")
+        alpha, beta = 0.8, 1.5
+        v = math.sqrt(beta * (1.0 + 1e-8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logpdf_sqrt_gbs(v, alpha, beta, kotz_kernel(0.55, 1.0, 1.0, 1, 1))
+        assert math.isfinite(got)
+        with mpmath.workdps(50):
+            t, a, b = mpmath.mpf(v) ** 2, mpmath.mpf(alpha), mpmath.mpf(beta)
+            u = (t - b) ** 2 / (t * b * a ** 2)
+            want = (mpmath.log(1 + b / t) - mpmath.log(a) - mpmath.log(b) / 2
+                    + _exact_kotz_log_h(mpmath, u, 0.55, 1.0, 1.0, 1))
+        assert got == pytest.approx(float(want), rel=1e-9, abs=0.0)
 
 
 def _logpdf_V_det(V, p, kern):

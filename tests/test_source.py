@@ -1,7 +1,8 @@
 """Static checks on the package source, in place of a linter: every import
 is used, every private module-level name is referenced somewhere in the
-package, no module imports scipy (numpy is the one runtime dependency),
-and every flag a CLI subcommand defines is read for that subcommand."""
+package, every error type is used outside errors.py, no module imports
+scipy (numpy is the one runtime dependency), and every flag a CLI
+subcommand defines is read for that subcommand."""
 
 import argparse
 import ast
@@ -36,6 +37,12 @@ def _read(tree):
     return names
 
 
+def _named(tree):
+    """Identifiers a module reads or imports by name."""
+    return _read(tree) | {alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_no_unused_imports(module):
     tree = TREES[module]
@@ -53,11 +60,7 @@ def test_no_unused_imports(module):
 
 
 def test_private_module_names_referenced():
-    referenced = set()
-    for tree in TREES.values():
-        referenced |= _read(tree)
-        referenced |= {alias.name for node in ast.walk(tree)
-                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = set().union(*map(_named, TREES.values()))
     unreferenced = []
     for module, tree in TREES.items():
         for node in tree.body:
@@ -71,6 +74,15 @@ def test_private_module_names_referenced():
                              if name.startswith("_") and not name.startswith("__")
                              and name not in referenced]
     assert unreferenced == []
+
+
+def test_every_error_type_is_used():
+    # an error or warning type that no other module names is left over from
+    # the code that raised it
+    used = set().union(*(_named(tree) for module, tree in TREES.items()
+                         if module != "errors.py"))
+    defined = [node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in used] == []
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

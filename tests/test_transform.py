@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from matrixbs.errors import (
-    DegenerateEigenvaluesError,
-    DomainError,
-    NotSpdError,
-    RankDeficientError,
-)
+from matrixbs.errors import DomainError, NotSpdError, RankDeficientError
 from matrixbs.transform import (
     GbsParams,
     forward_map,
@@ -109,12 +104,11 @@ class TestInverseMapBranch:
             assert np.abs(V2 - V).max() < 1e-10
 
     def test_tied_singular_values_rejected(self):
+        # ties are not rejected: V is a spectral function of Z Xi, so a tied
+        # pair of singular values inverts like any other
         p = GbsParams(n=2, xi=np.eye(2), beta=np.eye(2))
-        with pytest.raises(DegenerateEigenvaluesError):
-            inverse_map_branch(np.eye(2), p)
-        # gate can be disabled
-        V = inverse_map_branch(np.eye(2), p, tie_tol=0.0)
-        assert np.abs(forward_map(V, p) - np.eye(2)).max() < 1e-12
+        V = inverse_map_branch(np.eye(2), p)
+        assert np.abs(forward_map(V, p) - np.eye(2)).max() <= 1e-13
 
     def test_stack_equals_slice_by_slice(self, rng):
         p = random_params(5, 3, rng)
@@ -127,14 +121,16 @@ class TestInverseMapBranch:
         assert np.array_equal(V[2], inverse_map_branch(np.zeros((5, 3)), p))
 
     def test_stack_with_tied_slice_rejected(self, rng):
+        # ties are not rejected: a stack with a zero slice and a tied slice
+        # round-trips slice by slice
         p = GbsParams(n=3, xi=np.eye(2), beta=np.eye(2))
         Z = rng.normal(size=(4, 3, 2))
-        Z[1] = 0.0  # a zero slice is not a tie
+        Z[1] = 0.0
         Z[3] = np.vstack([2.0 * np.eye(2), np.zeros((1, 2))])
-        with pytest.raises(DegenerateEigenvaluesError) as err:
-            inverse_map_branch(Z, p)
-        assert err.value.row == 3
-        assert inverse_map_branch(Z[:3], p).shape == (3, 3, 2)
+        V = inverse_map_branch(Z, p)
+        for k in range(4):
+            bound = 1e-13 * max(np.abs(Z[k]).max(), 1.0)
+            assert np.abs(forward_map(V[k], p) - Z[k]).max() <= bound
 
     def test_stack_shape_and_finiteness_checked(self, rng):
         p = random_params(4, 2, rng)
@@ -178,22 +174,18 @@ class TestInverseMapBranch:
     @pytest.mark.parametrize("tied", ["largest", "smallest"])
     @pytest.mark.parametrize("m", [2, 3])
     def test_tie_gate_under_rotation(self, m, tied, rng):
-        # two singular values of Z Xi 1e-12 apart relative, in random directions
-        # under a full Xi, are rejected; 1e-6 apart they invert
+        # two singular values of Z Xi tied, 1e-12 or 1e-6 apart relative, in
+        # random directions under a full Xi, invert with no gate
         n = m + 2
         p = GbsParams(n=n, xi=rand_spd(m, rng), beta=rand_spd(m, rng, 50.0, 150.0))
         U = np.linalg.qr(rng.normal(size=(n, m)))[0]
         W = np.linalg.qr(rng.normal(size=(m, m)))[0]
         base = 3.0 if tied == "largest" else 3e-3
-        for gap, rejected in ((1e-12, True), (1e-6, False)):
+        for gap in (0.0, 1e-12, 1e-6):
             d = np.array([base, base * (1.0 - gap), 1.0])[:m]
             Z = (U * d) @ W.T @ np.linalg.inv(p.xi)
-            if rejected:
-                with pytest.raises(DegenerateEigenvaluesError):
-                    inverse_map_branch(Z, p)
-            else:
-                V = inverse_map_branch(Z, p)
-                assert np.abs(forward_map(V, p) - Z).max() <= 1e-13 * np.abs(Z).max()
+            V = inverse_map_branch(Z, p)
+            assert np.abs(forward_map(V, p) - Z).max() <= 1e-13 * np.abs(Z).max(), gap
 
     def test_second_preimage_m1(self, rng):
         # reciprocal-radius, flipped-direction vector maps to the same Z
@@ -254,9 +246,29 @@ class TestJacobians:
         assert vals[2] < 1e-5
 
     def test_boundary_rejected_at_tolerance(self):
+        # on the unit boundary with n > m both routes give exactly zero
         p = scalar_params(n=2)
-        with pytest.raises(DegenerateEigenvaluesError):
-            jacobian_sv_form([[1.0], [0.0]], p)
+        assert jacobian_sv_form([[1.0], [0.0]], p) == 0.0
+        assert jacobian_det_form([[1.0], [0.0]], p) == 0.0
+
+    def test_unit_singular_value_square(self):
+        # with n = m there is no (1 - 1/d) factor, so V = Delta is no zero
+        p = scalar_params(n=1)
+        assert jacobian_sv_form([[1.0]], p) == pytest.approx(2.0, rel=1e-15)
+        assert jacobian_det_form([[1.0]], p) == pytest.approx(2.0, rel=1e-15)
+        assert jacobian_fd_oracle([[1.0]], p) == pytest.approx(2.0, rel=1e-8)
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 3)])
+    def test_tied_spectrum_sv_matches_det(self, n, m, rng):
+        # the product form has no 1/(d_i - d_j) term: tied eigenvalues of
+        # beta^{-1} V'V need no care
+        p = random_params(n, m, rng)
+        U = np.linalg.qr(rng.normal(size=(n, m)))[0]
+        W = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        V = (U * np.full(m, 1.7)) @ W.T @ p.delta
+        det_val = jacobian_det_form(V, p)
+        for form in ("first", "second"):
+            assert jacobian_sv_form(V, p, form) == pytest.approx(det_val, rel=1e-12)
 
     def test_fd_agreement_100_random(self, rng):
         for _ in range(100):
