@@ -92,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "count": dict(type=_POSITIVE, help="number of draws"),
         "s-grid": dict(help="comma-separated Kotz powers"
                             " (default 0.5,0.75,1,1.25,1.5,1.75,2,3,4,5)"),
-        "max-iter": dict(type=int, help="Newton-step budget of a Kotz fit, and evaluation"
-                                        " budget of the Gaussian fit's search in log beta"
-                                        " on the likelihood's slope (default 5000)"),
+        "max-iter": dict(type=int, help="Newton-step budget of both fits; the Gaussian"
+                                        " counts its evaluations after the start (default 5000)"),
     }
     # each command takes exactly the flags its handler reads
     commands = {

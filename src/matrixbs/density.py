@@ -132,10 +132,10 @@ def trace_argument(W: np.ndarray, xi: np.ndarray) -> float:
 
 
 def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """trace_argument from eigenvalues w (..., m) and eigenvectors P (..., m, m)."""
-    inner = (P * ((w - 1.0) ** 2 / w)[..., None, :]) @ np.swapaxes(P, -1, -2)
+    """trace_argument from eigenvalues w (..., m) and eigenvectors P (..., m, m):
+    the sum of p' Xi^{-2} p (w - 1)^2 / w over the eigenpairs, each term >= 0."""
     M = np.linalg.inv(xi @ xi)
-    return np.maximum(np.einsum("ij,...ij->...", M, inner), 0.0)
+    return np.einsum("...ai,...ai,...i->...", P, M @ P, (w - 1.0) ** 2 / w)
 
 
 def _whitened_spectrum(L: np.ndarray, A: np.ndarray):

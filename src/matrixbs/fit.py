@@ -14,9 +14,10 @@ likelihood is -inf beyond it; for n = m it stays finite there, but that is
 not the sampled law.
 
 Gaussian: at fixed beta the shape is in closed form, Xi^2 = sum_k A_k / (K n),
-so the fit searches beta alone, for the zero of the profile likelihood's
-slope in ln beta over [beta_max / 1e6, beta_max], below which the
-likelihood is flat (_search_log_beta).
+so the fit maximises the profile likelihood over ln beta alone, by Newton
+steps on its closed-form slope and curvature (_gaussian_profile,
+_newton_log_beta), over [beta_max / 1e6, beta_max], below which the
+likelihood is flat.
 
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
 is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  One
@@ -63,16 +64,14 @@ BETA_MARGIN = 1.0 - 1e-6
 # the search covers log beta in [beta_max / BETA_RANGE, beta_max]; below it
 # the likelihood is flat, so a Kotz fit ending there is not converged
 BETA_RANGE = 1e6
-# the Gaussian search's first step in ln beta, and where it starts below
-# ln beta_max; it stops once its bracket is below XATOL wide or the slope is
-# below SLOPE_RTOL of its terms' magnitudes.  Kotz steps snap to ln beta_max within XATOL
+# the Gaussian fit starts STEP0 below ln beta_max, near where optima sit;
+# a step of either fit snaps to ln beta_max within XATOL (_step_log_beta)
 STEP0 = 0.1
 XATOL = 1e-10
-SLOPE_RTOL = 1e-13
 # Kotz rate, pinned: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)),
 # and r = 1/2 keeps the Gaussian nested at (q, s) = (1, 1)
 KOTZ_R = 0.5
-# the Newton decrement that ends a Kotz solve
+# the Newton decrement that ends a solve, of either family
 INNER_TOL = 1e-10
 # the Kotz fit caps ln(q - (2 - nm)/2) here: at q near e^30 = 1e13 the
 # terms of a K = 20 likelihood reach 1e15, and their rounding exceeds 0.1
@@ -305,105 +304,80 @@ def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
     )
 
 
-def _log_beta_slope(prep: _Prepared, n: int, beta: float, tT, tI, dh) -> float:
-    """d loglik / d ln beta at fixed (Xi, q), or 0.0 where it is below
-    SLOPE_RTOL of the magnitudes of its terms, zero to rounding.
-
-    tT and tI are tr(M T_k) and tr(M T_k^{-1}) for M = Xi^{-2}, per
-    observation or summed, and dh is h'(u_k): u_k moves by
-    beta tr(M T_k^{-1}) - tr(M T_k) / beta, the constant by -K n m / 2 and
-    log|G| as transform.log_gfactor_slope says.  By the envelope theorem it
-    is the profile's slope when (Xi, q) maximise the likelihood at beta."""
-    const = 0.5 * prep.K * n * prep.m
-    g_slope, g_scale, _ = log_gfactor_slope(prep.lam / beta, n, prep.m)
-    up, down = beta * tI, tT / beta
-    slope = g_slope - const + float(np.sum(dh * (up - down)))
-    scale = g_scale + const + float(np.sum(np.abs(dh) * (up + down)))
-    return 0.0 if abs(slope) <= SLOPE_RTOL * scale else slope
+def _step_log_beta(x, step, lo, hi):
+    """x + step in ln beta within [lo, hi], for floats or arrays.  It reaches hi
+    only if it overshoots it by more than 8 times the remaining distance, else
+    goes halfway, snapping to hi within XATOL: for m = 1 the likelihood can
+    rise without bound towards beta_max past a maximum below it."""
+    x_next = np.maximum(x + step, lo)
+    top = (x_next >= hi) & ~(x_next - hi > 8.0 * (hi - x)) & (hi - x > XATOL)
+    return np.where(top, 0.5 * (x + hi), np.minimum(x_next, hi))
 
 
-def _search_log_beta(beta_max: float, x: float, slope_at, max_iter: int):
-    """Find the maximum of a profile likelihood in x = ln beta as the zero of
-    its slope, slope_at(beta), from x.  The slope is 0.0 where it is zero to
-    rounding and nan where the profile is -inf, past the maximum.
+def _newton_log_beta(profile, x: float, lo: float, hi: float, budget: int):
+    """Maximise a profile likelihood, profile(x) = (value, slope, curvature),
+    over x = ln beta in [lo, hi] from x, by steps of slope / |curvature| (to
+    the bound the slope points at where the curvature is zero), moved by
+    _step_log_beta and halved until the value rises.  Stops, converged, at a
+    bound the slope points past or after the step from a Newton decrement of
+    INNER_TOL or less, which need only stay finite; fails at a point that is
+    not finite or beyond budget evaluations after the first.  Returns the
+    last x, the evaluations and success."""
+    (value, slope, curvature), evals = profile(x), 1
+    while not ((x >= hi and slope > 0.0) or (x <= lo and slope < 0.0)):
+        if evals > budget or not math.isfinite(value + slope + curvature):
+            return x, evals, False
+        step = (slope / abs(curvature) if curvature
+                else math.copysign(math.inf, slope) if slope else 0.0)
+        small = slope * step <= INNER_TOL
+        floor = -math.inf if small else value - 1e-14 * max(1.0, abs(value))
+        x_try = float(_step_log_beta(x, step, lo, hi))
+        while True:
+            point, evals = profile(x_try), evals + 1
+            if point[0] > floor:
+                break
+            if evals > budget:
+                return x, evals, False
+            x_try = x + 0.5 * (x_try - x)
+        x, (value, slope, curvature) = x_try, point
+        if small:
+            break
+    return x, evals, True
 
-    It steps uphill, by STEP0 and then by secant steps of at most four
-    times the last, until the slope changes sign or a bound of
-    [beta_max / BETA_RANGE, beta_max] is reached.  A step reaches beta_max
-    only if the slope rose over the last one or the secant puts its zero
-    more than 8 times the remaining distance past the top; else it goes
-    halfway there.  Inside the bracket it takes secant steps, and bisects
-    when one would leave the bracket or not halve the last step.  It stops
-    at a zero slope, at a bound the slope points past, or once the bracket
-    is below XATOL wide.  Returns the beta evaluated last (beta_max itself
-    at the top), the number of evaluations and success, False once
-    max_iter evaluations after the first are spent."""
-    top = math.log(beta_max)
-    bottom = top - math.log(BETA_RANGE)
 
-    def beta_of(x):
-        return beta_max if x == top else math.exp(x)
+def _gaussian_shape(prep: _Prepared, n: int, beta: float) -> np.ndarray:
+    """The closed-form Gaussian Xi^2 = sum_k A_k / (K n) at beta."""
+    return (sym_part(prep.sum_T / beta + beta * prep.sum_inv) / (prep.K * n)
+            - (2.0 / n) * np.eye(prep.m))
 
-    lo = hi = None          # points known below and above the zero of the slope
-    x_prev = g_prev = None
-    step = STEP0
-    g, evals = slope_at(beta_of(x)), 1
-    while True:
-        if not math.isfinite(g):
-            g = -math.inf if x_prev is None or x > x_prev else math.inf
-        if g > 0.0:
-            lo = x
-        elif g < 0.0:
-            hi = x
-        done = (g == 0.0 or (x == top and g > 0.0) or (x == bottom and g < 0.0)
-                or (lo is not None and hi is not None and hi - lo <= XATOL))
-        if done or evals > max_iter:
-            return beta_of(x), evals, done
-        secant = (-g * (x - x_prev) / (g - g_prev)
-                  if x_prev is not None and math.isfinite(g - g_prev) and g != g_prev
-                  else math.nan)
-        if lo is None or hi is None:
-            uphill = math.copysign(1.0, g) * secant  # > 0 while the slope falls
-            step_next = uphill if uphill > 0.0 else 2.0 * step if x_prev is not None else STEP0
-            x_next = max(x + math.copysign(min(step_next, 4.0 * step), g), bottom)
-            if x_next >= top:
-                # for m = 1 the likelihood can rise without bound towards
-                # beta_max past a maximum below it: go only halfway there
-                # unless the slope rose or its zero lies far past beta_max
-                reach = x_prev is not None and not 0.0 < uphill <= 8.0 * (top - x)
-                x_next = top if reach or top - x <= XATOL else 0.5 * (x + top)
-        else:
-            x_next = x + secant
-            if not (lo < x_next < hi and abs(secant) <= 0.5 * step):
-                x_next = 0.5 * (lo + hi)
-        if x_next == x:  # a secant step below rounding: step over the zero
-            x_next = min(max(x + math.copysign(0.5 * XATOL, g), bottom), top)
-        step = max(abs(x_next - x), 0.5 * XATOL)
-        x_prev, g_prev, x = x, g, x_next
-        g, evals = slope_at(beta_of(x)), evals + 1
+
+def _gaussian_profile(prep: _Prepared, n: int, x: float):
+    """The Gaussian log-likelihood at beta = e^x and the closed-form S = Xi^2,
+    up to a constant, l = -(K n / 2)(ln|S| + m x) + sum_k log|G(lambda_k e^-x)|,
+    and its slope and curvature in x: with S' = dS/dx and S'' = S + (2/n) I,
+    l' = G' - (K n / 2)(m + tr S^-1 S') and
+    l'' = G'' - (K n / 2)(m + (2/n) tr S^-1 - tr(S^-1 S' S^-1 S')).
+    (-inf, nan, nan) where S is not positive definite."""
+    beta, half_kn, m = math.exp(x), 0.5 * prep.K * n, prep.m
+    w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
+    if w[0] <= 0.0:
+        return -math.inf, math.nan, math.nan
+    dS = P.T @ sym_part(beta * prep.sum_inv - prep.sum_T / beta) @ P / (prep.K * n)
+    log_g, g_slope, g_curv = log_gfactor_slope(prep.lam / beta, n, m)
+    inv = 1.0 / w
+    return (float(log_g - half_kn * (np.log(w).sum() + m * x)),
+            float(g_slope - half_kn * (m + np.diagonal(dS) @ inv)),
+            float(g_curv - half_kn * (m + (2.0 / n) * inv.sum() - inv @ (dS * dS) @ inv)))
 
 
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
-    """The closed-form shape at each beta; iterations counts its evaluations.
-    The search starts STEP0 below ln beta_max, near where optima sit."""
-    K, m = prep.K, prep.m
-
-    def spectrum(beta):
-        """Eigenvalues and eigenvectors of Xi^2 at beta."""
-        return np.linalg.eigh(sym_part(prep.sum_T / beta + beta * prep.sum_inv) / (K * n)
-                              - (2.0 / n) * np.eye(m))
-
-    def slope_at(beta):
-        w, P = spectrum(beta)
-        if w[0] <= 0.0:
-            return math.nan
-        M = (P / w) @ P.T
-        return _log_beta_slope(prep, n, beta, float(np.vdot(M, prep.sum_T)),
-                               float(np.vdot(M, prep.sum_inv)), -0.5)
-
-    beta, evals, success = _search_log_beta(prep.beta_max, math.log(prep.beta_max) - STEP0,
-                                            slope_at, spec.max_iter)
-    w, P = spectrum(beta)
+    """Newton in ln beta on the closed-form profile from STEP0 below
+    ln beta_max; iterations counts its evaluations, the start included."""
+    top = math.log(prep.beta_max)
+    x, evals, success = _newton_log_beta(lambda x: _gaussian_profile(prep, n, x), top - STEP0,
+                                         top - math.log(BETA_RANGE), top, spec.max_iter)
+    beta = prep.beta_max if x == top else math.exp(x)
+    w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
     xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
     return _result(prep, spec, n, beta, xi, success, evals)
 
@@ -485,12 +459,9 @@ class _KotzProfile:
         Each step rescales M along its ray in closed form, then takes a joint
         Newton step, its Hessian scaled to a unit diagonal and flipped to
         negative definite, halved until M stays SPD, q > q_floor and the
-        value rises; q is clipped at q_cap.  x at a bound its slope points
-        past is held there, out of the system.  A step reaches x_hi only if
-        it overshoots it by more than 8 times the remaining distance, else it
-        goes halfway, snapping to x_hi within XATOL: for m = 1 the likelihood
-        can rise without bound towards beta_max past a maximum below it.  A
-        row stops, converged, at a Newton decrement of INNER_TOL or less, or
+        value rises; q is clipped at q_cap, and x moves by _step_log_beta.
+        x at a bound its slope points past is held there, out of the system.
+        A row stops, converged, at a Newton decrement of INNER_TOL or less, or
         at a step that is not finite, once halving is spent or after budget
         steps.  Returns per row x, theta, q, the steps taken, converged and
         the slope in x at the last step."""
@@ -512,7 +483,7 @@ class _KotzProfile:
             # first and second derivatives of (q - 1) ln u - r u^s in u
             d1 = (q_l - 1.0)[:, None] / u - (r * s_l)[:, None] * u_s / u
             d2 = -(q_l - 1.0)[:, None] / u ** 2 - (r * s_l * (s_l - 1.0))[:, None] * u_s / u ** 2
-            g_slope, _, g_curv = log_gfactor_slope(self.prep.lam / beta, n, m)
+            _, g_slope, g_curv = log_gfactor_slope(self.prep.lam / beta, n, m)
             grad = np.column_stack([
                 self.half_kn * (W.reshape(-1, m * m) @ dup) + (d1[:, None, :] @ A)[:, 0],
                 K * (math.log(r) - digamma(a)) / s_l + log_u.sum(axis=1),
@@ -543,9 +514,7 @@ class _KotzProfile:
             step = d * (P @ (((grad * d)[:, None, :] @ P)[:, 0] / w)[:, :, None])[:, :, 0]
             decrement = np.where(finite, (grad * step).sum(axis=1), np.nan)
             step[held, p + 1] = 0.0
-            x_next = np.maximum(x_l + step[:, p + 1], lo)
-            top = (x_next >= hi) & ~(x_next - hi > 8.0 * (hi - x_l)) & (hi - x_l > XATOL)
-            x_next = np.where(top, 0.5 * (x_l + hi), np.minimum(x_next, hi))
+            x_next = _step_log_beta(x_l, step[:, p + 1], lo, hi)
             # a step cut short in x is cut short along its whole direction
             cut = np.where(step[:, p + 1] != 0.0, (x_next - x_l) / step[:, p + 1], 1.0)
             step = step * cut[:, None]
@@ -611,12 +580,12 @@ def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess
 
 
 def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
-    """Maximise the log-likelihood of one family: for the Gaussian a search
-    for the zero of the profile's slope in ln beta with the shape in closed
-    form, for the Kotz with r pinned at 1/2 one Newton solve over
-    (ln beta, M, q), M = Xi^{-2}.  Deterministic; max_iter caps the
-    Gaussian search's evaluations after its start and the Kotz Newton
-    steps, and a fit that exhausts it is returned flagged, not raised."""
+    """Maximise the log-likelihood of one family: for the Gaussian a Newton
+    solve in ln beta on the profile with the shape in closed form, for the
+    Kotz with r pinned at 1/2 one Newton solve over (ln beta, M, q),
+    M = Xi^{-2}.  Deterministic; max_iter caps the Gaussian's profile
+    evaluations after its start and the Kotz Newton steps, and a fit that
+    exhausts it is returned flagged, not raised."""
     mats, prep = _prepare_fit(data, n)
     gauss = _fit_gaussian(prep, replace(spec, family=GAUSSIAN), n)
     if spec.family == KOTZ:

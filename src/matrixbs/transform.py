@@ -292,24 +292,26 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first", total: bool = F
 
 
 def log_gfactor_slope(deltas, n: int, m: int):
-    """d log|G| / d ln beta, the sum of its terms' magnitudes and
-    d^2 log|G| / d (ln beta)^2, each summed over the K axis of a (..., K, m)
+    """log|G| as log_abs_gfactor(..., total=True) gives it, d log|G| / d ln beta
+    and d^2 log|G| / d (ln beta)^2, each summed over the K axis of a (..., K, m)
     array of deltas, the eigenvalues of beta^{-1} T: one value per leading index.
 
     In the first form every x = 1/d is proportional to beta, so each pair
     factor F = x_i x_j contributes -2 w F / (1 - F) to the slope and
     -4 w F / (1 - F)^2 to the curvature, and each eigenvalue c x / (1 + x)
-    and c x / (1 + x)^2, c = 1 - max(n - m, 0).  Off the zero set of
-    log_abs_gfactor.
+    and c x / (1 + x)^2, c = 1 - max(n - m, 0), off log_abs_gfactor's zero set.
     """
     x = np.divide(1.0, np.moveaxis(np.asarray(deltas, dtype=float), -1, 0), order="C")
     weights, rows = _gfactor_pairs(n, m)
+    weights = weights.reshape((-1,) + (1,) * (x.ndim - 1))
     F = x[rows[:, 0]] * x[rows[:, 1]]
-    pair = -2.0 * weights.reshape((-1,) + (1,) * (F.ndim - 1)) * F / (1.0 - F)
-    single = (1 - max(n - m, 0)) * x / (1.0 + x)
-    pair_k, single_k = pair.sum(axis=0), single.sum(axis=0)
-    curvature = (2.0 * pair / (1.0 - F)).sum(axis=0) + (single / (1.0 + x)).sum(axis=0)
-    return ((pair_k + single_k).sum(axis=-1), (np.abs(pair_k) + np.abs(single_k)).sum(axis=-1),
+    gap, c = 1.0 - F, 1 - max(n - m, 0)
+    log_abs = (weights * np.log(np.abs(gap))).sum(axis=0) + c * np.log1p(x).sum(axis=0)
+    log_abs = np.where(np.abs(gap).min(axis=0, initial=np.inf) < BOUNDARY_TOL, -np.inf, log_abs)
+    pair = -2.0 * weights * F / gap
+    single = c * x / (1.0 + x)
+    curvature = (2.0 * pair / gap).sum(axis=0) + (single / (1.0 + x)).sum(axis=0)
+    return (log_abs.sum(axis=-1), (pair.sum(axis=0) + single.sum(axis=0)).sum(axis=-1),
             curvature.sum(axis=-1))
 
 

@@ -399,6 +399,11 @@ def _bulk_batch():
                               kotz_kernel(2.0, 0.5, 1.5, 8, 3), 2000, 2026)
 
 
+def _sqrtm(M):
+    w, P = np.linalg.eigh(M)
+    return (P * np.sqrt(w)) @ P.T
+
+
 def _inv_sqrt(M):
     w, P = np.linalg.eigh(M)
     return (P / np.sqrt(w)) @ P.T
@@ -522,7 +527,10 @@ class TestKotzProfile:
         terms = (K * (math.log(r) - digamma((2.0 * q + n * 2 - 2.0) / (2.0 * s))) / s,
                  np.sum(np.log(u)))
         assert abs(sum(terms)) <= 1e-8 * max(abs(t) for t in terms)
-        g_slope, g_scale, _ = log_gfactor_slope(np.linalg.eigvalsh(T) / beta, n, 2)
+        deltas = np.linalg.eigvalsh(T) / beta
+        _, g_slope, _ = log_gfactor_slope(deltas, n, 2)
+        # the magnitudes of the G factor's terms, summed per observation
+        g_scale = np.abs(log_gfactor_slope(deltas[:, None, :], n, 2)[1]).sum()
         terms = (g_slope, -0.5 * K * n * 2, dh * (beta * tI - tT / beta))
         assert abs(terms[0] + terms[1] + terms[2].sum()) <= 1e-8 * (
             g_scale - terms[1] + np.abs(terms[2]).sum())
@@ -618,40 +626,58 @@ class TestKotzProfile:
 
 
 class TestLogBetaSearch:
-    """The search for beta on the profile's slope in ln beta."""
+    """The Newton solve for beta in ln beta, on the Gaussian's closed-form
+    profile and within the Kotz solve."""
 
-    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
-    def test_slope_is_partial_derivative(self, family):
-        # at fixed (Xi, q) the slope is d loglik / d ln beta
+    def test_gaussian_profile_is_loglik(self):
+        # the value is loglik at the closed-form Xi up to one constant, its
+        # slope and curvature the central differences of the value, also
+        # 1e-8 below beta_max, where log|G| bends sharply for n > m
         from matrixbs import fit as fit_module
 
-        T, n, beta = read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6, 90.0
-        q, r, s = 1.7, 0.4, 1.3
-        kernel = gaussian_kernel(n, 2) if family == "gaussian" else kotz_kernel(q, r, s, n, 2)
-        M = np.linalg.inv(XI_TRUE @ XI_TRUE)
-        tT = np.einsum("ij,kij->k", M, T)
-        tI = np.einsum("ij,kij->k", M, np.linalg.inv(T))
-        u = tT / beta + beta * tI - 2.0 * np.trace(M)
-        dh = -0.5 if family == "gaussian" else (q - 1.0) / u - r * s * u ** (s - 1.0)
-        slope = fit_module._log_beta_slope(fit_module._Prepared(T), n, beta, tT, tI, dh)
-        h = 1e-5
-        diff = (loglik(T, n, beta * math.exp(h), XI_TRUE, kernel)
-                - loglik(T, n, beta * math.exp(-h), XI_TRUE, kernel)) / (2 * h)
-        assert slope == pytest.approx(diff, rel=1e-6)
+        xi3 = np.array([[0.7, 0.1, 0.0], [0.1, 0.5, 0.05], [0.0, 0.05, 0.4]])
+        for T, n in ((read_batch(DATA / "paper_k20_round1_popB.csv").matrices, 6),
+                     (_boundary_batch(2).matrices, 2),
+                     (make_batch(30, 33, xi=xi3, n=7).matrices, 7)):
+            prep = fit_module._Prepared(T)
+            K, m = T.shape[:2]
+
+            def value(x):
+                return fit_module._gaussian_profile(prep, n, x)[0]
+
+            diffs = []
+            for gap in (1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-4):
+                x = math.log(prep.beta_max * (1.0 - gap))
+                beta = math.exp(x)
+                A = T / beta + beta * np.linalg.inv(T) - 2.0 * np.eye(m)
+                xi = _sqrtm(A.sum(axis=0) / (K * n))
+                diffs.append(value(x) - loglik(T, n, beta, xi, gaussian_kernel(n, m)))
+                _, slope, curvature = fit_module._gaussian_profile(prep, n, x)
+                # a power of two, so that x + h and x - h are exact, at most
+                # 1/200 of the distance to the pole of log|G| at ln lambda_min:
+                # there the value is good only to eps / (1 - beta / lambda_min)
+                h = 2.0 ** math.floor(math.log2(5e-3 * min(math.log(prep.min_lam) - x, 1e-2)))
+                assert slope == pytest.approx((value(x + h) - value(x - h)) / (2 * h),
+                                              rel=1e-5, abs=1e-5)
+                assert curvature == pytest.approx(
+                    (value(x + h) - 2.0 * value(x) + value(x - h)) / h ** 2, rel=1e-4, abs=1e-3)
+            assert np.ptp(diffs) <= 1e-9 * max(1.0, abs(diffs[0]))
 
     @pytest.mark.parametrize("root,end", [(-3.0, 0), (-0.01, 0), (0.5, 1), (-20.0, -1)])
     def test_zero_of_known_slope(self, root, end):
-        # slope tanh(root - ln beta) over ln beta in [-ln 1e6, 0]: the zero
-        # inside the range, or the end of the range the slope points past
+        # the profile -ln cosh(x - root) over x = ln beta in [-ln 1e6, 0]: its
+        # maximum inside the range, or the end of the range the slope points
+        # past; at root -20 tanh rounds to 1 and the curvature to 0, where
+        # the step goes to the bound
         from matrixbs import fit as fit_module
 
-        def slope_at(beta):
-            return math.tanh(root - math.log(beta))
+        def profile(x):
+            t = math.tanh(x - root)
+            return -math.log(math.cosh(x - root)), -t, -(1.0 - t * t)
 
-        beta, evals, success = fit_module._search_log_beta(1.0, -0.1, slope_at, 100)
+        x, evals, success = fit_module._newton_log_beta(profile, -0.1, -math.log(1e6), 0.0, 100)
         assert success and evals <= 31
-        assert math.log(beta) == pytest.approx({0: root, 1: 0.0, -1: -math.log(1e6)}[end],
-                                               abs=1e-10)
+        assert x == pytest.approx({0: root, 1: 0.0, -1: -math.log(1e6)}[end], abs=1e-10)
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 4.0])
     def test_kotz_slope_is_profile_derivative(self, s):

@@ -1,6 +1,7 @@
 """Static checks on the package source, in place of a linter: every import
 is used, every private module-level name is referenced somewhere in the
-package, every error type is used outside errors.py, no module imports
+package, every module-level constant is read or exported, every error type
+is used outside errors.py, no module imports
 scipy (numpy is the one runtime dependency), and every flag a CLI
 subcommand defines is read for that subcommand."""
 
@@ -74,6 +75,16 @@ def test_private_module_names_referenced():
                              if name.startswith("_") and not name.startswith("__")
                              and name not in referenced]
     assert unreferenced == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE name that no module reads and none exports is
+    # left over from the code that read it
+    wanted = set().union(*map(_read, TREES.values()), *map(_exported, TREES.values()))
+    unread = [f"{module}: {target.id}" for module, tree in TREES.items() for node in tree.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name) and target.id.isupper() and target.id not in wanted]
+    assert unread == []
 
 
 def test_every_error_type_is_used():

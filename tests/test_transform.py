@@ -316,13 +316,13 @@ class TestGfactorSlope:
             return log_abs_gfactor(deltas * math.exp(-h), n, m, total=True)[0]
 
         h = 1e-5
-        slope, scale, curvature = log_gfactor_slope(deltas, n, m)
+        value, slope, curvature = log_gfactor_slope(deltas, n, m)
+        assert value == log_g(0.0)
         assert slope == pytest.approx((log_g(h) - log_g(-h)) / (2 * h), rel=1e-7, abs=1e-9)
-        assert scale >= abs(slope) * (1.0 - 1e-14)  # a sum of the terms' magnitudes
         h = 1e-4
         assert curvature == pytest.approx((log_g(h) - 2.0 * log_g(0.0) + log_g(-h)) / h ** 2,
                                           rel=1e-5, abs=1e-6)
         # a leading row axis gives each row's values as alone
         rows = log_gfactor_slope(np.stack([deltas, 2.0 * deltas]), n, m)
-        assert [r[0] for r in rows] == [slope, scale, curvature]
+        assert [r[0] for r in rows] == [value, slope, curvature]
         assert log_abs_gfactor(np.stack([deltas, deltas]), n, m, total=True)[0][1] == log_g(0.0)
