@@ -31,7 +31,8 @@ import numpy as np
 
 from . import dataio
 from .density import Convention, logpdf_T
-from .errors import DataFormatError, MatrixBsError
+from .errors import (DataFormatError, DomainError, MatrixBsError, NotSpdError,
+                     NotSymmetricError)
 from .fit import DEFAULT_S_GRID, FitSpec, fit_mle, profile_s_grid
 from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
 from .sampling import sample_batch
@@ -63,6 +64,10 @@ def _int_at_least(low: int):
 _SEED = _int_at_least(0)
 _POSITIVE = _int_at_least(1)
 
+
+# a command validates one stack, the --data file's: these errors name its row
+_ROW_FAULTS = {NotSpdError: "positive definite", NotSymmetricError: "symmetric",
+               DomainError: "finite"}
 
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
@@ -287,12 +292,14 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except DataFormatError as err:
-        print(f"data error in {getattr(args, 'data', '<input>')}: {err}",
-              file=sys.stderr)
-        return 2
     except MatrixBsError as err:
-        print(f"error: {err}", file=sys.stderr)
+        fault = _ROW_FAULTS.get(type(err)) if err.row is not None else None
+        if fault or isinstance(err, DataFormatError):
+            detail = f"row {err.row + 1}: matrix is not {fault}" if fault else err
+            print(f"data error in {getattr(args, 'data', '<input>')}: {detail}",
+                  file=sys.stderr)
+        else:
+            print(f"error: {err}", file=sys.stderr)
         return 2
 
 

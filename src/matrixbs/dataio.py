@@ -4,7 +4,9 @@ CSV batches hold one matrix per row as the upper triangle in row-major
 order under a ``t11,t12,...,tmm`` header, written with 17 significant
 digits so values round-trip exactly.  JSON batches are an object with
 ``matrices`` plus optional provenance (a bare array of matrices is also
-accepted).  The format is picked by file extension.
+accepted).  The format is picked by file extension.  Reading checks only
+what the format fixes; the consumer of a batch checks that each matrix is
+finite, symmetric and positive definite when it factors the stack.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError, NotSpdError, NotSymmetricError
+from .errors import DataFormatError
 from .fit import FitResult, ProfileResult
 from .kernels import kernel_from_json, kernel_to_json
-from .linalg import check_spd
 from .sampling import SampleBatch
 from .transform import GbsParams
 
@@ -183,20 +184,14 @@ def write_batch(path, batch: SampleBatch) -> None:
 def read_batch(path) -> SampleBatch:
     """Read a batch file, auto-detecting the format from the extension.
 
-    A matrix that is not finite, symmetric and positive definite is an
-    error naming its row.
+    Only the format is checked; the matrices come back as written.  The
+    factorisation that uses them (the fit's eigh, the density's Cholesky)
+    checks that each is finite, symmetric and positive definite.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     json_file = path.suffix.lower() == ".json"
-    batch = _batch_from_json(text) if json_file else _batch_from_csv(text)
-    try:
-        check_spd(batch.matrices, "matrix")
-    except (DomainError, NotSpdError, NotSymmetricError) as bad:
-        what = {NotSpdError: "positive definite", NotSymmetricError: "symmetric"}
-        raise DataFormatError(f"row {bad.row + 1}: matrix is not"
-                              f" {what.get(type(bad), 'finite')}")
-    return batch
+    return _batch_from_json(text) if json_file else _batch_from_csv(text)
 
 
 N_P_NOTE = ("n_p counts beta plus the upper triangle of the shape matrix"
@@ -225,7 +220,6 @@ def fit_result_to_dict(result: FitResult) -> dict:
         "m": result.m,
         "K": result.K,
         "convention": result.convention.value,
-        "n_support_violations": result.n_support_violations,
         "notes": N_P_NOTE,
     }
 

@@ -70,12 +70,6 @@ class ElementwiseParams:
         object.__setattr__(self, "beta", beta)
 
 
-def _check_kernel_dims(kernel: KernelSpec, n: int, m: int):
-    if (kernel.n, kernel.m) != (n, m):
-        raise DomainError(
-            f"kernel normalised for dims ({kernel.n}, {kernel.m}), expected ({n}, {m})")
-
-
 def _uni_u(t: float, alpha: float, beta: float) -> float:
     # t/beta + beta/t - 2 in the exact form, with no cancellation near t = beta
     return (t - beta) ** 2 / (t * beta) / alpha**2
@@ -87,7 +81,7 @@ def logpdf_uni_gbs(t: float, alpha: float, beta: float, kernel: KernelSpec) -> f
         raise DomainError(f"t must be positive, got {t}")
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("alpha and beta must be positive")
-    _check_kernel_dims(kernel, 1, 1)
+    kernel.check_dims(1, 1)
     prefactor = (-1.5 * math.log(t) + math.log(t + beta)
                  - math.log(2.0) - math.log(alpha) - 0.5 * math.log(beta))
     return prefactor + log_h(kernel, _uni_u(t, alpha, beta))
@@ -99,7 +93,7 @@ def logpdf_sqrt_gbs(v: float, alpha: float, beta: float, kernel: KernelSpec) -> 
         raise DomainError(f"v must be positive, got {v}")
     if alpha <= 0.0 or beta <= 0.0:
         raise DomainError("alpha and beta must be positive")
-    _check_kernel_dims(kernel, 1, 1)
+    kernel.check_dims(1, 1)
     prefactor = (math.log1p(beta / v**2) - math.log(alpha) - 0.5 * math.log(beta))
     return prefactor + log_h(kernel, _uni_u(v * v, alpha, beta))
 
@@ -111,7 +105,7 @@ def logpdf_elementwise(T, params: ElementwiseParams, kernel: KernelSpec) -> floa
         raise DomainError(f"T {T.shape} does not match parameters {params.alpha.shape}")
     if T.min() <= 0.0:
         raise DomainError("all entries of T must be strictly positive")
-    _check_kernel_dims(kernel, *T.shape)
+    kernel.check_dims(*T.shape)
     A, B = params.alpha, params.beta
     prefactor = float(np.sum(-1.5 * np.log(T) + np.log(T + B)
                              - math.log(2.0) - np.log(A) - 0.5 * np.log(B)))
@@ -201,7 +195,7 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     determinant transform.jacobian_det_form is its test oracle.
     """
     V = as_matrix(V, "V")
-    _check_kernel_dims(kernel, params.n, params.m)
+    kernel.check_dims(params.n, params.m)
     eigs = branch_eigs(V, params)
     _check_branch_support(eigs, convention, "V")
     log_j, _ = log_jacobian_sv(eigs, params, "first")
@@ -254,7 +248,7 @@ def logpdf_T(T, params: GbsParams, kernel: KernelSpec,
     error names the matrix as T[k] and carries k as ``row``.
     """
     T, L = _spd_cholesky(T, "T")
-    _check_kernel_dims(kernel, params.n, params.m)
+    kernel.check_dims(params.n, params.m)
     if T.shape[-1] != params.m:
         raise DomainError(f"T is {T.shape[-1]}x{T.shape[-1]}, expected m={params.m}")
     value = _logpdf_scaled(L, params.delta, _slogdet(params.beta), params, kernel,
@@ -282,7 +276,7 @@ def logpdf_T_inverse(S, params: GbsParams, kernel: KernelSpec,
     variables (dT) = |det S|^{-(m+1)} (dS).
     """
     S, L = _spd_cholesky(S, "S")
-    _check_kernel_dims(kernel, params.n, params.m)
+    kernel.check_dims(params.n, params.m)
     n, m = params.n, params.m
     if S.shape[0] != m:
         raise DomainError(f"S is {S.shape[0]}x{S.shape[0]}, expected m={m}")
@@ -306,7 +300,7 @@ def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,
     """
     Y, L = _spd_cholesky(Y, "Y")
     C = as_matrix(C, "C")
-    _check_kernel_dims(kernel, params.n, params.m)
+    kernel.check_dims(params.n, params.m)
     m = params.m
     if Y.shape[0] != m or C.shape != (m, m):
         raise DomainError(f"Y and C must be {m}x{m}")

@@ -165,9 +165,7 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     xi = check_spd(xi, "xi")
     if xi.shape[0] != prep.m:
         raise DomainError(f"xi is {xi.shape[0]}x{xi.shape[0]}, data has m={prep.m}")
-    if (kernel.n, kernel.m) != (n, prep.m):
-        raise DomainError(
-            f"kernel dims ({kernel.n}, {kernel.m}) do not match (n={n}, m={prep.m})")
+    kernel.check_dims(n, prep.m)
     return _loglik_prepared(prep, n, float(beta), xi, kernel, convention)
 
 
@@ -256,7 +254,6 @@ class FitResult:
     m: int
     K: int
     convention: Convention = Convention.AS_PUBLISHED
-    n_support_violations: int = 0
 
 
 def bic_star(loglik_max: float, n_p: int, K: int) -> float:
@@ -300,7 +297,6 @@ def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
         loglik_max=value, n_params=n_p, bic_star=bic_star(value, n_p, K),
         converged=converged, iterations=iterations,
         seed=spec.seed, n=n, m=m, K=K, convention=spec.convention,
-        n_support_violations=int(np.count_nonzero(prep.lam[:, 0] <= beta)),
     )
 
 

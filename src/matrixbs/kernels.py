@@ -54,6 +54,12 @@ class KernelSpec:
         else:
             raise DomainError(f"unknown kernel family {self.family!r}")
 
+    def check_dims(self, n: int, m: int) -> None:
+        """Raise DomainError unless the kernel is normalised for n x m matrices."""
+        if (self.n, self.m) != (n, m):
+            raise DomainError(f"kernel normalised for dims ({self.n}, {self.m}),"
+                              f" expected ({n}, {m})")
+
     @property
     def nm(self) -> int:
         return self.n * self.m

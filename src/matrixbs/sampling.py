@@ -29,7 +29,8 @@ __all__ = ["SampleBatch", "sample_T", "sample_V", "sample_batch"]
 
 @dataclass
 class SampleBatch:
-    """K observed SPD matrices of order m plus generation provenance."""
+    """K observed matrices of order m plus generation provenance.  The fit or
+    density that factors them checks that they are SPD."""
 
     m: int
     count: int
@@ -56,10 +57,7 @@ def _draw_V(params: GbsParams, kernel: KernelSpec, rng: np.random.Generator,
             count: int) -> np.ndarray:
     """A (count, n, m) stack of branch draws V: one stacked kernel draw
     mapped by one batched branch inverse."""
-    if (kernel.n, kernel.m) != (params.n, params.m):
-        raise DomainError(
-            f"kernel dims ({kernel.n}, {kernel.m}) do not match params"
-            f" ({params.n}, {params.m})")
+    kernel.check_dims(params.n, params.m)
     Z = sample_symmetric(kernel, rng, count)
     with np.errstate(over="ignore", invalid="ignore"):
         V = inverse_map_branch(Z, params)

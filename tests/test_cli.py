@@ -57,11 +57,14 @@ class TestDataIo:
         loaded = read_batch(path)
         assert loaded.count == 1 and loaded.m == 2
 
-    def test_spd_violation_names_row(self, tmp_path):
+    def test_non_spd_row_returned_unchanged(self, tmp_path):
+        # reading checks the format only; the command that factors the
+        # stack rejects the row (TestDataCheckedOnUse)
         path = tmp_path / "bad.csv"
         path.write_text("t11,t12,t22\n4.0,0.1,3.0\n1.0,5.0,1.0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="row 2"):
-            read_batch(path)
+        loaded = read_batch(path)
+        assert np.array_equal(loaded.matrices, [[[4.0, 0.1], [0.1, 3.0]],
+                                                [[1.0, 5.0], [5.0, 1.0]]])
 
     def test_malformed_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -151,6 +154,74 @@ class TestDataIo:
         path.write_text(text, encoding="utf-8")
         assert run("density", "--data", str(path), "--n", "4") == 2
         assert "data error" in capsys.readouterr().err
+
+
+POPB = Path(__file__).resolve().parent / "data" / "paper_k20_round1_popB.csv"
+# the flags each data command needs beyond --data and --n
+DATA_COMMANDS = {"fit": (), "compare": ("--s-grid", "1"),
+                 "density": ("--beta", "1", "--xi", "1")}
+GOOD = [[4.0, 0.1], [0.1, 3.0]]
+
+
+class TestDataCheckedOnUse:
+    """read_batch parses; the one factorisation of the --data stack in each
+    command checks its matrices, and the CLI names the failing row."""
+
+    @pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+    @pytest.mark.parametrize("name,text,row,fault", [
+        ("bad.csv", "t11,t12,t22\n4.0,0.1,3.0\n1.0,5.0,1.0\n4.0,0.2,3.0\n", 2,
+         "positive definite"),
+        ("bad.json", json.dumps([GOOD, GOOD, [[4.0, np.nan], [np.nan, 3.0]]]), 3, "finite"),
+        ("bad.json", json.dumps({"matrices": [[[4.0, 0.1], [0.2, 3.0]], GOOD]}), 1,
+         "symmetric"),
+    ], ids=["not-spd-csv", "not-finite-json", "not-symmetric-json"])
+    def test_bad_row_named(self, command, name, text, row, fault, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert run(command, "--data", str(path), "--n", "6", *DATA_COMMANDS[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error in {path}: row {row}: matrix is not {fault}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+    def test_data_stack_factored_once(self, command, monkeypatch, capsys):
+        stack = read_batch(POPB).matrices
+        stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh"):
+            def counted(a, *args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
+                if np.shape(a) == stack.shape and np.array_equal(a, stack):
+                    calls.append(_name)
+                return _factor(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert run(command, "--data", str(POPB), "--n", "6", *DATA_COMMANDS[command]) == 0
+        assert len(calls) == 1, calls
+
+    def test_near_singular_row_fitted(self, tmp_path, capsys):
+        # eigh calls this row positive definite (eigenvalues 1.4e-17 and 2) and
+        # Cholesky does not: fit takes it as fit_mle does, density refuses it
+        from matrixbs.density import Convention
+        from matrixbs.fit import FitSpec, fit_mle
+
+        data, out = tmp_path / "near.csv", tmp_path / "fit.json"
+        data.write_text(POPB.read_text(encoding="utf-8") + "1.8815403921096419,"
+                        "0.47210860729198595,0.118459607890358\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "matrixbs.cli", "fit", "--data",
+                               str(data), "--n", "6", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+        fit = json.loads(out.read_text())
+        spec = FitSpec(convention=Convention.BRANCH_NORMALIZED)  # the CLI's default
+        want = fit_mle(read_batch(data), spec, 6)
+        assert (fit["estimates"]["beta"], fit["loglik"]) == (want.beta, want.loglik_max)
+        assert fit["converged"]
+
+        assert run("density", "--data", str(data), "--n", "6", *DATA_COMMANDS["density"]) == 2
+        assert "row 21: matrix is not positive definite" in capsys.readouterr().err
 
 
 class TestSampleCommand:

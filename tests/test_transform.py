@@ -103,7 +103,7 @@ class TestInverseMapBranch:
             V2 = inverse_map_branch(forward_map(V, p), p)
             assert np.abs(V2 - V).max() < 1e-10
 
-    def test_tied_singular_values_rejected(self):
+    def test_tied_singular_values_invert(self):
         # ties are not rejected: V is a spectral function of Z Xi, so a tied
         # pair of singular values inverts like any other
         p = GbsParams(n=2, xi=np.eye(2), beta=np.eye(2))
@@ -120,7 +120,7 @@ class TestInverseMapBranch:
             assert np.array_equal(V[k], inverse_map_branch(Z[k], p))
         assert np.array_equal(V[2], inverse_map_branch(np.zeros((5, 3)), p))
 
-    def test_stack_with_tied_slice_rejected(self, rng):
+    def test_stack_with_tied_slice_round_trips(self, rng):
         # ties are not rejected: a stack with a zero slice and a tied slice
         # round-trips slice by slice
         p = GbsParams(n=3, xi=np.eye(2), beta=np.eye(2))
@@ -173,7 +173,7 @@ class TestInverseMapBranch:
 
     @pytest.mark.parametrize("tied", ["largest", "smallest"])
     @pytest.mark.parametrize("m", [2, 3])
-    def test_tie_gate_under_rotation(self, m, tied, rng):
+    def test_ties_invert_under_rotation(self, m, tied, rng):
         # two singular values of Z Xi tied, 1e-12 or 1e-6 apart relative, in
         # random directions under a full Xi, invert with no gate
         n = m + 2
@@ -245,7 +245,7 @@ class TestJacobians:
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-5
 
-    def test_boundary_rejected_at_tolerance(self):
+    def test_boundary_jacobian_is_zero(self):
         # on the unit boundary with n > m both routes give exactly zero
         p = scalar_params(n=2)
         assert jacobian_sv_form([[1.0], [0.0]], p) == 0.0
