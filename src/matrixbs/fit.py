@@ -21,10 +21,11 @@ likelihood is flat.
 
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
 is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  One
-Newton solve over (ln beta, M = Xi^{-2}, q), on the same range of beta,
-fits every power of a grid in one batch (_KotzProfile).  A fit held at the
-bottom of the range, at the cap on q, or for m = 1 at beta_max with
-q < (3 - n)/2, where the likelihood is unbounded, is not converged.
+Newton solve over (ln beta, M = Xi^{-2}, q), on the same range of beta, fits
+every power of a grid in one batch (_KotzProfile), each from its closed-form
+maximum over (q, scale) on a ray of M.  A fit held at the bottom of the range,
+at the cap on q, or for m = 1 at beta_max with q < (3 - n)/2, where the
+likelihood is unbounded, is not converged.
 
 Model comparison uses the modified criterion
 
@@ -47,8 +48,9 @@ import numpy as np
 
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
-from .kernels import GAUSSIAN, KOTZ, KernelSpec, gaussian_kernel, kotz_kernel
-from .linalg import _spd_eigh, check_spd, digamma, sym_part, trigamma
+from .kernels import GAUSSIAN, KOTZ, KernelSpec
+from .linalg import (_spd_eigh, check_spd, digamma, log_minus_digamma, log_mv_gamma,
+                     sym_part, trigamma)
 from .sampling import SampleBatch
 from .transform import log_abs_gfactor, log_gfactor_slope
 
@@ -129,25 +131,6 @@ def _prepare_fit(data, n: int) -> tuple[np.ndarray, _Prepared]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _loglik_prepared(prep: _Prepared, n: int, beta: float, xi: np.ndarray,
-                     kernel: KernelSpec,
-                     convention: Convention = Convention.AS_PUBLISHED) -> float:
-    # for n > m an eigenvalue at or below beta leaves log(1 - beta/lambda)
-    # undefined: the observation is outside the branch support
-    if beta <= 0.0 or (n > prep.m and beta >= prep.min_lam):
-        return -math.inf
-    w, P = np.linalg.eigh(xi)
-    if w[0] <= 0.0:
-        return -math.inf
-    theta = ((P / (w * w)) @ P.T)[prep.triu]   # Xi^{-2}
-    u = prep.trace(theta, beta)
-    value = log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
-                          float(np.log(w).sum()), kernel, convention, total=True)
-    # a term overflows (nan or +inf) only at an extreme beta, where the
-    # likelihood tends to -inf: u grows like beta or 1/beta, |G| polynomially
-    return value if value < math.inf else -math.inf
-
-
 def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
            convention: Convention = Convention.AS_PUBLISHED) -> float:
     """Sample log-likelihood of the scalar-scale model.
@@ -166,7 +149,21 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     if xi.shape[0] != prep.m:
         raise DomainError(f"xi is {xi.shape[0]}x{xi.shape[0]}, data has m={prep.m}")
     kernel.check_dims(n, prep.m)
-    return _loglik_prepared(prep, n, float(beta), xi, kernel, convention)
+    beta = float(beta)
+    # for n > m an eigenvalue at or below beta leaves log(1 - beta/lambda)
+    # undefined: the observation is outside the branch support
+    if beta <= 0.0 or (n > prep.m and beta >= prep.min_lam):
+        return -math.inf
+    w, P = np.linalg.eigh(xi)
+    if w[0] <= 0.0:
+        return -math.inf
+    theta = ((P / (w * w)) @ P.T)[prep.triu]   # Xi^{-2}
+    u = prep.trace(theta, beta)
+    value = log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
+                          float(np.log(w).sum()), kernel, convention, total=True)
+    # a term overflows (nan or +inf) only at an extreme beta, where the
+    # likelihood tends to -inf: u grows like beta or 1/beta, |G| polynomially
+    return value if value < math.inf else -math.inf
 
 
 @dataclass(frozen=True)
@@ -283,13 +280,17 @@ def evidence_grade(diff: float) -> EvidenceGrade:
     return EvidenceGrade.VERY_STRONG
 
 
-def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray,
+def _result(prep: _Prepared, spec: FitSpec, n: int, beta: float, xi: np.ndarray, value: float,
             converged: bool, iterations: int, q: float | None = None) -> FitResult:
-    """The FitResult of spec's family at (beta, xi), and for Kotz (KOTZ_R, q)."""
+    """The FitResult of spec's family at (beta, xi), and for Kotz (KOTZ_R, q), from
+    its solver's value there, the log-likelihood up to terms free of the parameters."""
     K, m = prep.K, prep.m
     kotz = spec.family == KOTZ
-    kernel = kotz_kernel(q, KOTZ_R, spec.s, n, m) if kotz else gaussian_kernel(n, m)
-    value = float(_loglik_prepared(prep, n, beta, xi, kernel, spec.convention))
+    # the Gaussian's trace terms sum to -K n m / 2 at its closed-form shape
+    value += ((n - m - 1) / 2 * prep.sum_log_lam - K * log_mv_gamma(m, n / 2)
+              + K * (math.log(spec.s) + math.lgamma(n * m / 2) if kotz
+                     else -n * m / 2 * (math.log(2.0) + 1.0))
+              - K * m * math.log(2.0) * (spec.convention is Convention.AS_PUBLISHED))
     n_p = 1 + m * (m + 1) // 2 + (2 if kotz else 0)
     return FitResult(
         family=spec.family, s=spec.s if kotz else None,
@@ -353,8 +354,10 @@ def _gaussian_profile(prep: _Prepared, n: int, x: float):
     and its slope and curvature in x: with S' = dS/dx and S'' = S + (2/n) I,
     l' = G' - (K n / 2)(m + tr S^-1 S') and
     l'' = G'' - (K n / 2)(m + (2/n) tr S^-1 - tr(S^-1 S' S^-1 S')).
-    (-inf, nan, nan) where S is not positive definite."""
-    beta, half_kn, m = math.exp(x), 0.5 * prep.K * n, prep.m
+    (-inf, nan, nan) where S is not positive definite.  At x = ln beta_max,
+    beta is beta_max itself, as the fit reports it."""
+    beta = prep.beta_max if x == math.log(prep.beta_max) else math.exp(x)
+    half_kn, m = 0.5 * prep.K * n, prep.m
     w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
     if w[0] <= 0.0:
         return -math.inf, math.nan, math.nan
@@ -369,13 +372,14 @@ def _gaussian_profile(prep: _Prepared, n: int, x: float):
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
     """Newton in ln beta on the closed-form profile from STEP0 below
     ln beta_max; iterations counts its evaluations, the start included."""
-    top = math.log(prep.beta_max)
-    x, evals, success = _newton_log_beta(lambda x: _gaussian_profile(prep, n, x), top - STEP0,
-                                         top - math.log(BETA_RANGE), top, spec.max_iter)
+    top, points = math.log(prep.beta_max), {}   # the profile at each x evaluated
+    x, evals, success = _newton_log_beta(
+        lambda x: points.setdefault(x, _gaussian_profile(prep, n, x)),
+        top - STEP0, top - math.log(BETA_RANGE), top, spec.max_iter)
     beta = prep.beta_max if x == top else math.exp(x)
     w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
     xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
-    return _result(prep, spec, n, beta, xi, success, evals)
+    return _result(prep, spec, n, beta, xi, points[x][0], success, evals)
 
 
 class _KotzProfile:
@@ -403,7 +407,7 @@ class _KotzProfile:
         dup = np.zeros((m * m, p))
         dup[rows * m + cols, np.arange(p)] = 1.0
         dup[cols * m + rows, np.arange(p)] = 1.0
-        self.prep, self.n, self.dup = prep, n, dup
+        self.prep, self.n, self.dup, self.entry = prep, n, dup, dup.argmax(axis=1)
         self.eye = (rows == cols).astype(float)         # vec(I) @ dup
         self.half_kn = 0.5 * prep.K * n
         self.q_floor = (2.0 - n * m) / 2.0
@@ -414,7 +418,7 @@ class _KotzProfile:
 
     def matrix(self, theta: np.ndarray) -> np.ndarray:
         """M per row of theta; non-finite entries read 0 (the row is infeasible)."""
-        M = theta[..., self.dup.argmax(axis=1)].reshape(theta.shape[:-1] + 2 * (self.prep.m,))
+        M = theta[..., self.entry].reshape(theta.shape[:-1] + 2 * (self.prep.m,))
         return np.where(np.isfinite(M), M, 0.0)
 
     def stack(self, x):
@@ -424,28 +428,53 @@ class _KotzProfile:
         return (beta, *sum(weights[..., i, None] * self.prep.E[i::m] for i in range(m)))
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def radial(self, s, A, theta, q):
-        """theta rescaled along M -> c M to its maximum at the stack A,
-        c^s = K a / (r sum_k u_k^s)."""
-        u_s = np.exp(s[:, None] * np.log((A @ theta[:, :, None])[:, :, 0]))
-        c = (self.prep.K * (q - self.q_floor) / s / (KOTZ_R * u_s.sum(axis=1))) ** (1.0 / s)
-        return theta * c[:, None]
+    def start(self, s, x, theta):
+        """Per (kind, point, power) q, theta and the value on the ray c M0 through each point
+        (x, M0) of theta, c^s = K a / (r sum_k u_k^s): the ray's maximum, where r u^s is
+        Gamma(a, 1) (_gamma_shape), then q = 1.  -inf where c M0 over- or underflows."""
+        prep, K, m, beta = self.prep, self.prep.K, self.prep.m, np.exp(x)[:, None, None]
+        log_u = np.log(prep.trace(theta, beta))
+        sum_log_u = log_u.sum(axis=1)[:, None]
+        sum_u_s = np.exp(s[:, None] * log_u[:, None, :]).sum(axis=2)
+        a = _gamma_shape(np.log(sum_u_s / K) - s * sum_log_u / K, math.exp(LOG_Q_CAP) / s)
+        q = np.stack([np.minimum(self.q_floor + s * a, self.q_cap), np.ones_like(a)])
+        a = (q - self.q_floor) / s
+        log_c = np.log(K * a / (KOTZ_R * sum_u_s)) / s
+        log_det = np.log(np.linalg.eigvalsh(self.matrix(theta))).sum(axis=1)[:, None]
+        log_g, _ = log_abs_gfactor(prep.lam / beta, self.n, m, total=True)
+        # at c, sum_k r u_k^s = K a
+        value = (K * (a * math.log(KOTZ_R) - _lgamma(a)) + self.half_kn * (m * log_c + log_det)
+                 + (q - 1.0) * (K * log_c + sum_log_u) - K * a
+                 + (log_g - self.half_kn * m * x)[:, None])
+        theta = theta[:, None, :] * np.exp(log_c)[..., None]
+        feasible = np.isfinite(theta).all(axis=-1) & (np.exp(log_c) > 0.0) & np.isfinite(value)
+        return q, theta, np.where(feasible, value, -np.inf)
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def value(self, s, x, theta, q):
-        """The log-likelihood per row up to a constant; -inf unless M is
-        positive definite and q > q_floor."""
-        prep, beta = self.prep, np.exp(x)[:, None, None]
-        w = np.linalg.eigvalsh(self.matrix(theta))
+    def _value(self, s, x, q, u, w, log_g):
+        """The log-likelihood per row up to a constant from u_k = tr(M A_k), the eigenvalues
+        w of M and log|G|; -inf unless M is positive definite and q > q_floor."""
         a = (q - self.q_floor) / s
         feasible = (w[:, 0] > 0.0) & (a > 0.0)
-        log_u = np.log(prep.trace(theta, beta))
-        norm = a * math.log(KOTZ_R) - np.array([math.lgamma(v) for v in np.where(feasible, a, 1)])
-        log_g, _ = log_abs_gfactor(prep.lam / beta, self.n, prep.m, total=True)
-        value = (prep.K * norm + self.half_kn * np.log(w).sum(axis=1)
-                 + (q - 1.0) * log_u.sum(axis=1) - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1)
-                 - self.half_kn * prep.m * x + log_g)
+        log_u = np.log(u)
+        value = (self.prep.K * (a * math.log(KOTZ_R) - _lgamma(a))
+                 + self.half_kn * np.log(w).sum(axis=1) + (q - 1.0) * log_u.sum(axis=1)
+                 - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1)
+                 - self.half_kn * self.prep.m * x + log_g)
         return np.where(feasible & np.isfinite(value), value, -np.inf)
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def point(self, s, x, theta, q):
+        """The per-observation work at each row's point: A, dA/dx, u = A theta, du = dA theta,
+        the eigensystem of M, log|G| with its slope and curvature in x; and the value."""
+        beta, A, dA = self.stack(x)
+        u, du = ((B @ theta[:, :, None])[:, :, 0] for B in (A, dA))
+        w, P = np.linalg.eigh(self.matrix(theta))
+        gfactor = log_gfactor_slope(self.prep.lam / beta, self.n, self.prep.m)
+        return [A, dA, u, du, w, P, *gfactor], self._value(s, x, q, u, w, gfactor[0])
+
+    def value(self, s, x, theta, q):
+        """The log-likelihood per row up to a constant (_value)."""
+        return self.point(s, x, theta, q)[1]
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def newton(self, s, x, theta, q, x_lo, x_hi, budget):
@@ -459,27 +488,28 @@ class _KotzProfile:
         x at a bound its slope points past is held there, out of the system.
         A row stops, converged, at a Newton decrement of INNER_TOL or less, or
         at a step that is not finite, once halving is spent or after budget
-        steps.  Returns per row x, theta, q, the steps taken, converged and
-        the slope in x at the last step."""
-        K, m, n, r, dup, p = self.prep.K, self.prep.m, self.n, KOTZ_R, self.dup, theta.shape[1]
+        steps.  Returns per row x, theta, q, the steps taken, converged, the
+        slope in x at the last step and the value at the last point."""
+        K, m, r, dup, p = self.prep.K, self.prep.m, KOTZ_R, self.dup, theta.shape[1]
         x, theta, q = x.copy(), theta.copy(), q.copy()
         steps, converged, slope = np.zeros(len(s), int), np.zeros(len(s), bool), np.zeros(len(s))
         live = np.arange(len(s))
+        cache, value = self.point(s, x, theta, q)
         while live.size:
             s_l, x_l, q_l, lo, hi = s[live], x[live], q[live], x_lo[live], x_hi[live]
-            beta, A, dA = self.stack(x_l)
-            th = self.radial(s_l, A, theta[live], q_l)
+            A, dA, u, du, w, P, log_g, g_slope, g_curv = cache
             a = (q_l - self.q_floor) / s_l
-            u, du = ((B @ th[:, :, None])[:, :, 0] for B in (A, dA))
+            # M -> c M to its maximum on its ray, c^s = K a / (r sum_k u_k^s)
+            c = (K * a / (r * np.exp(s_l[:, None] * np.log(u)).sum(axis=1))) ** (1.0 / s_l)
+            th, u, du, w = (v * c[:, None] for v in (theta[live], u, du, w))
+            value_l = self._value(s_l, x_l, q_l, u, w, log_g)
             d2u = u + 2.0 * (th * self.eye).sum(axis=1)[:, None]   # d^2 A / dx^2 = A + 2 I
             log_u = np.log(u)
             u_s = np.exp(s_l[:, None] * log_u)
-            w, P = np.linalg.eigh(self.matrix(th))
             W = (P / w[:, None, :]) @ np.swapaxes(P, 1, 2)
             # first and second derivatives of (q - 1) ln u - r u^s in u
             d1 = (q_l - 1.0)[:, None] / u - (r * s_l)[:, None] * u_s / u
             d2 = -(q_l - 1.0)[:, None] / u ** 2 - (r * s_l * (s_l - 1.0))[:, None] * u_s / u ** 2
-            _, g_slope, g_curv = log_gfactor_slope(self.prep.lam / beta, n, m)
             grad = np.column_stack([
                 self.half_kn * (W.reshape(-1, m * m) @ dup) + (d1[:, None, :] @ A)[:, 0],
                 K * (math.log(r) - digamma(a)) / s_l + log_u.sum(axis=1),
@@ -502,9 +532,8 @@ class _KotzProfile:
             # scaled to a unit diagonal: at small beta theta is 1e12 times finer than q
             d = 1.0 / np.sqrt(np.abs(np.diagonal(hess, axis1=1, axis2=2)))
             hess = hess * (d[:, :, None] * d[:, None, :])
-            value = self.value(s_l, x_l, th, q_l)
             finite = (np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad * d).all(axis=1)
-                      & np.isfinite(value))
+                      & np.isfinite(value_l))
             w, P = np.linalg.eigh(np.where(finite[:, None, None], hess, np.eye(p + 2)))
             w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max(axis=1, keepdims=True))
             step = d * (P @ (((grad * d)[:, None, :] @ P)[:, 0] / w)[:, :, None])[:, :, 0]
@@ -518,47 +547,67 @@ class _KotzProfile:
             # a fall within rounding; a step whose predicted rise is itself
             # below INNER_TOL, within the value's rounding, needs only stay feasible
             small = decrement <= INNER_TOL
-            floor = np.where(small, -np.inf, value - 1e-14 * np.maximum(1.0, np.abs(value)))
+            floor = np.where(small, -np.inf, value_l - 1e-14 * np.maximum(1.0, np.abs(value_l)))
             trying = np.isfinite(decrement)
             for halvings in range(30):
+                if not (rows := np.flatnonzero(trying)).size:
+                    break
                 q_next = np.minimum(q_l + step[:, p], self.q_cap)
                 x_try = x_next if halvings == 0 else x_l + step[:, p + 1]
-                rose = trying & (self.value(s_l, x_try, th + step[:, :p], q_next) > floor)
-                th[rose], q_l[rose] = th[rose] + step[rose, :p], q_next[rose]
-                x_l[rose] = x_try[rose]
-                trying &= ~rose
-                if not trying.any():
-                    break
+                th_try = th[rows] + step[rows, :p]
+                trial, trial_value = self.point(s_l[rows], x_try[rows], th_try, q_next[rows])
+                rose = trial_value > floor[rows]
+                for kept, new in zip(cache, trial):
+                    kept[rows[rose]] = new[rose]
+                rows = rows[rose]
+                th[rows], q_l[rows], x_l[rows] = th_try[rose], q_next[rows], x_try[rows]
+                value_l[rows], trying[rows] = trial_value[rose], False
                 step[trying] *= 0.5
             keep = live[finite]
-            theta[keep], q[keep], x[keep] = th[finite], q_l[finite], x_l[finite]
+            theta[keep], q[keep], x[keep], value[keep] = (th[finite], q_l[finite], x_l[finite],
+                                                          value_l[finite])
             steps[live] += 1
             converged[live] = small
-            live = live[finite & ~small & ~trying & (steps[live] < budget[live])]
-        return x, theta, q, steps, converged, slope
+            going = finite & ~small & ~trying & (steps[live] < budget[live])
+            live, cache = live[going], [kept[going] for kept in cache]
+        return x, theta, q, steps, converged, slope, value
+
+
+def _lgamma(a):
+    """ln Gamma(a) elementwise, where a > 0; 0 elsewhere."""
+    return np.array([math.lgamma(v) for v in np.where(a > 0.0, a, 1.0).flat]).reshape(np.shape(a))
+
+
+def _gamma_shape(g, cap):
+    """The shape a of a Gamma law whose variates v have ln mean(v) - mean(ln v)
+    = g, the root of ln a - psi(a) = g, by Newton steps in 1/a from Minka's
+    (2002) closed-form start, at most cap; for g <= 0 (equal variates), cap."""
+    z = np.maximum(12.0 * g / (3.0 - g + np.sqrt((g - 3.0) ** 2 + 24.0 * g)), 1.0 / cap)
+    for _ in range(4):
+        value, slope = log_minus_digamma(1.0 / z)
+        z = np.maximum(z + (value - g) * z * z / slope, 1.0 / cap)
+    return 1.0 / z
 
 
 def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess,
               gauss: FitResult) -> list[FitResult]:
-    """One Kotz fit per spec, all in one batched Newton solve over
-    [beta_max / BETA_RANGE, beta_max].  Each power starts from the better of
-    the moment guess and the Gaussian optimum by the solver's value after
-    its radial step at q = 1; iterations counts its Newton steps.  A power
-    whose fit has no finite log-likelihood, as from a start without one,
-    raises DomainError."""
+    """One Kotz fit per spec, all in one batched Newton solve over [beta_max /
+    BETA_RANGE, beta_max].  Each power starts from the best of four points on the
+    rays through the Gaussian optimum and the moment guess: each ray's maximum over
+    (q, scale) in closed form, and its radial maximum at q = 1 (_KotzProfile.start);
+    iterations counts its Newton steps.  A power whose fit has no finite
+    log-likelihood, as from a start without one, raises DomainError."""
     profile, R = _KotzProfile(prep, n), len(specs)
     top = math.log(prep.beta_max)
     bottom = top - math.log(BETA_RANGE)
-    starts = [(min(guess.beta0, 0.9 * prep.beta_max), guess.xi0), (gauss.beta, gauss.xi)]
+    starts = [(gauss.beta, gauss.xi), (min(guess.beta0, 0.9 * prep.beta_max), guess.xi0)]
     s = np.array([spec.s for spec in specs])
-    x = np.log([beta for beta, _ in starts]).repeat(R)
-    theta = np.array([profile.theta_of(xi) for _, xi in starts]).repeat(R, axis=0)
-    theta = profile.radial(np.tile(s, 2), profile.stack(x)[1], theta, np.ones(2 * R))
-    value = profile.value(np.tile(s, 2), x, theta, np.ones(2 * R)).reshape(2, R)
-    rows = np.arange(R) + R * ~(value[0] > value[1])
-    x, theta, q, steps, converged, slope = profile.newton(
-        s, x[rows], theta[rows], np.ones(R), np.full(R, bottom), np.full(R, top),
-        np.array([spec.max_iter for spec in specs]))
+    x = np.log([beta for beta, _ in starts])
+    q, theta, value = profile.start(s, x, np.array([profile.theta_of(xi) for _, xi in starts]))
+    best = np.unravel_index(value.reshape(2 * len(starts), R).argmax(axis=0), value.shape[:2])
+    x, theta, q, steps, converged, slope, value = profile.newton(
+        s, x[best[1]], theta[(*best, np.arange(R))], q[(*best, np.arange(R))], np.full(R, bottom),
+        np.full(R, top), np.array([spec.max_iter for spec in specs]))
     # none is a maximum: at the cap on q the likelihood still rose, at the
     # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
     converged &= (q < profile.q_cap) & ~((x <= bottom) & (slope < 0.0))
@@ -567,9 +616,9 @@ def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess
     with np.errstate(divide="ignore", invalid="ignore"):  # a row with no finite fit raises below
         xis = sym_part((P / np.sqrt(w)[:, None, :]) @ np.swapaxes(P, 1, 2))
     fits = []
-    for spec, x_r, xi, q_r, ok, k in zip(specs, x, xis, q, converged, steps):
+    for spec, x_r, xi, value_r, q_r, ok, k in zip(specs, x, xis, value, q, converged, steps):
         beta = prep.beta_max if x_r == top else math.exp(x_r)
-        fits.append(_result(prep, spec, n, beta, xi, bool(ok), int(k), float(q_r)))
+        fits.append(_result(prep, spec, n, beta, xi, float(value_r), bool(ok), int(k), float(q_r)))
         if not math.isfinite(fits[-1].loglik_max):
             raise DomainError(f"Kotz power s={spec.s:g}: no finite likelihood from its start")
     return fits

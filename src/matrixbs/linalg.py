@@ -202,3 +202,14 @@ def trigamma(x):
     inv2 = 1.0 / (x * x)
     series = sum(b * inv2 ** k for k, b in enumerate(_BERNOULLI, 1)) / x
     return shift + 1.0 / x + 0.5 * inv2 + series
+
+
+@np.errstate(divide="ignore")
+def log_minus_digamma(x):
+    """ln x - psi(x) and its derivative 1/x - psi'(x) for x > 0, elementwise,
+    each summed without the cancellation of either difference at large x."""
+    (y, shift), (_, shift2) = _recurrence(x, 1), _recurrence(x, 2)
+    steps, inv2 = y - x, 1.0 / (y * y)
+    value = sum(b / (2 * k) * inv2 ** k for k, b in enumerate(_BERNOULLI, 1)) + 0.5 / y
+    slope = -sum(b * inv2 ** k for k, b in enumerate(_BERNOULLI, 1)) / y - 0.5 * inv2
+    return value + shift - np.log1p(steps / x), slope + steps / (x * y) - shift2

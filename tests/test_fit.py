@@ -417,7 +417,7 @@ def _solve_at_betas(T, n, s, betas, q=1.0):
     profile = fit_module._KotzProfile(fit_module._Prepared(T), n)
     x = np.log(betas)
     R = len(x)
-    _, theta, q, _, converged, slope = profile.newton(
+    _, theta, q, _, converged, slope, _ = profile.newton(
         np.full(R, s), x, np.tile(profile.theta_of(np.eye(T.shape[1])), (R, 1)),
         np.full(R, float(q)), x, x, np.full(R, 5000))
     return profile, theta, q, converged, slope
@@ -860,10 +860,10 @@ class TestProfileGrid:
             self._assert_same_fit(row.fit, fit_mle(batch, FitSpec(family="kotz", s=row.s), n))
 
     def test_rows_end_in_different_rounds(self):
-        # s = 5 ends after 5 Newton steps and s = 1 after 8; s = 0.05, which
-        # takes 430, spends the budget of 9: each row leaves at its own step
+        # s = 1 ends after 5 Newton steps and s = 0.3 after 8; s = 0.05, which
+        # takes 111, spends the budget of 9: each row leaves at its own step
         batch = read_batch(DATA / "paper_k20_round1_popB.csv")
-        rows = profile_s_grid(batch, (0.05, 1.0, 5.0), 6, spec=FitSpec(max_iter=9)).rows
+        rows = profile_s_grid(batch, (0.05, 0.3, 1.0), 6, spec=FitSpec(max_iter=9)).rows
         assert [(row.fit.iterations, row.fit.converged) for row in rows] == [
             (9, False), (8, True), (5, True)]
         for row in rows:
@@ -932,3 +932,108 @@ class TestProfileGrid:
         batch = make_batch(5, 1)
         with pytest.raises(DomainError):
             profile_s_grid(batch, (0.5, bad), 6)
+
+
+class TestProfiledStart:
+    """Each power starts at its ray's maximum over (q, scale) in closed form."""
+
+    @pytest.mark.parametrize("batch,n", [
+        pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, id="popB"),
+        pytest.param(_bulk_batch(), 8, id="kotz m=3 K=2000")])
+    def test_start_is_ray_maximum(self, batch, n):
+        # the closed-form value is the solver's value there, its derivatives
+        # in q and ln c vanish, and it is never below the q = 1 start
+        from matrixbs import fit as fit_module
+
+        prep = fit_module._Prepared(batch.matrices)
+        profile = fit_module._KotzProfile(prep, n)
+        gauss = fit_mle(batch, FitSpec(), n)
+        s = np.array(DEFAULT_S_GRID)
+        q, theta, value = profile.start(s, np.log([gauss.beta]),
+                                        profile.theta_of(gauss.xi)[None])
+        x = np.full(len(s), math.log(gauss.beta))
+        assert np.isfinite(value).all()
+        assert (value[0] >= value[1] - 1e-12 * np.abs(value[1])).all()
+        for kind in (0, 1):
+            direct = profile.value(s, x, theta[kind, 0], q[kind, 0])
+            assert direct == pytest.approx(value[kind, 0], rel=1e-12, abs=0.0)
+        h = 1e-5
+        for dq, dc in ((h, 0.0), (0.0, h)):   # steps in ln q and ln c
+            up, down = (profile.value(s, x, theta[0, 0] * math.exp(sign * dc),
+                                      q[0, 0] * math.exp(sign * dq)) for sign in (1, -1))
+            assert (np.abs(up - down) / (2 * h) <= 1e-8 * np.abs(value[0, 0])).all(), (dq, dc)
+
+    def test_gamma_shape_solves_its_equation(self):
+        mpmath = pytest.importorskip("mpmath")
+        from matrixbs import fit as fit_module
+
+        g = np.geomspace(1e-12, 1e3, 151)
+        a = fit_module._gamma_shape(g, np.full(g.shape, 1e300))
+        mpmath.mp.dps = 50
+        for a_k, g_k in zip(a, g):
+            got = mpmath.log(a_k) - mpmath.digamma(a_k)
+            assert abs(float((got - g_k) / g_k)) <= 1e-12, g_k
+
+    def test_equal_variates_cap_q(self):
+        # g = 0, all u equal: the shape runs to the cap, with no warning
+        from matrixbs import fit as fit_module
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = fit_module._gamma_shape(np.array([0.0, -1e-17]), np.array([1e13, 1e13]))
+        assert (a == 1e13).all()
+
+    @pytest.mark.parametrize("family", ["gaussian", "kotz"])
+    @pytest.mark.parametrize("batch,n,max_iter", [
+        pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, 5000, id="popB"),
+        pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, 2, id="budget spent"),
+        pytest.param(make_batch(30, 4, n=2), 2, 5000, id="n=m cap"),
+        *(pytest.param(*fixture.values, 5000, id=fixture.id) for fixture in _profile_fixtures())])
+    def test_loglik_max_is_loglik(self, batch, n, max_iter, family):
+        # the solvers' values plus the family's constant are the likelihood
+        res = fit_mle(batch, FitSpec(family=family, s=1.5, max_iter=max_iter), n)
+        m = batch.matrices.shape[1]
+        kernel = (gaussian_kernel(n, m) if family == "gaussian"
+                  else kotz_kernel(res.q, res.r, 1.5, n, m))
+        assert res.loglik_max == pytest.approx(loglik(batch, n, res.beta, res.xi, kernel),
+                                               rel=1e-12, abs=0.0)
+
+    def test_start_traces_once_and_steps_evaluate_once(self, monkeypatch):
+        # one trace per start point whatever the number of powers, and one
+        # log|G| slope per trial evaluation: nothing is evaluated twice
+        from matrixbs import fit as fit_module
+
+        batch = read_batch(DATA / "paper_k20_round1_popB.csv")
+        trace, slope, point = fit_module._Prepared.trace, fit_module.log_gfactor_slope, \
+            fit_module._KotzProfile.point
+        counts = {"trace": 0, "slope": 0, "point": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += len(args[1]) if name == "trace" else 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fit_module._Prepared, "trace", counted("trace", trace))
+        monkeypatch.setattr(fit_module._KotzProfile, "point", counted("point", point))
+        for grid in ((1.0,), DEFAULT_S_GRID):
+            gauss_evals = fit_mle(batch, FitSpec(), 6).iterations
+            monkeypatch.setattr(fit_module, "log_gfactor_slope", counted("slope", slope))
+            counts.update(trace=0, slope=0, point=0)
+            rows = profile_s_grid(batch, grid, 6).rows
+            monkeypatch.setattr(fit_module, "log_gfactor_slope", slope)
+            assert counts["trace"] == 2
+            assert counts["slope"] - gauss_evals == counts["point"]
+            assert counts["point"] >= 1 + max(row.fit.iterations for row in rows)
+
+    @pytest.mark.parametrize("s,most,maximum", [(0.05, 120, -358.7299502247006),
+                                                (0.1, 30, -358.71570518855515),
+                                                (0.25, 12, -358.674428949756)])
+    def test_small_power_steps(self, s, most, maximum):
+        # the profiled start: 430, 150 and 33 steps from the q = 1 start, to
+        # the same maxima; on the flat ridge at s = 0.05 the Newton decrement
+        # of 1e-10 leaves 1.6e-12 of the value
+        res = fit_mle(read_batch(DATA / "paper_k20_round1_popB.csv"),
+                      FitSpec(family="kotz", s=s), 6)
+        assert res.converged and res.iterations <= most
+        assert res.loglik_max == pytest.approx(maximum, rel=2e-12, abs=0.0)
