@@ -6,7 +6,8 @@ digits so values round-trip exactly.  JSON batches are an object with
 ``matrices`` plus optional provenance (a bare array of matrices is also
 accepted).  The format is picked by file extension.  Reading checks only
 what the format fixes; the consumer of a batch checks that each matrix is
-finite, symmetric and positive definite when it factors the stack.
+finite, symmetric and positive definite, by linalg's one eigenvalue floor,
+when it factors the stack.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def read_batch(path) -> SampleBatch:
 
     Only the format is checked; the matrices come back as written.  The
     factorisation that uses them (the fit's eigh, the density's Cholesky)
-    checks that each is finite, symmetric and positive definite.
+    checks that each is finite, symmetric and above linalg's eigenvalue
+    floor, so every command accepts the same rows.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")

@@ -23,14 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NotSpdError,
-    OutsideSupportError,
-    SingularMatrixError,
-)
+from .errors import DomainError, OutsideSupportError, SingularMatrixError
 from .kernels import KernelSpec, log_h
-from .linalg import _spd_cholesky, as_matrix, log_mv_gamma, sym_part
+from .linalg import _require_floor, _spd_cholesky, _spd_eigh, as_matrix, log_mv_gamma
 from .transform import (
     GbsParams,
     _branch_factors,
@@ -118,10 +113,7 @@ def trace_argument(W: np.ndarray, xi: np.ndarray) -> float:
 
     Invariant under W -> W^{-1}; nonnegative, zero exactly at W = I.
     """
-    W = sym_part(W)
-    w, P = np.linalg.eigh(W)
-    if w.min() <= 0.0:
-        raise NotSpdError(f"trace argument needs SPD input, min eigenvalue {w.min():g}")
+    _, w, P = _spd_eigh(W, "W")
     return float(_trace_argument_spectral(w, P, xi))
 
 
@@ -134,7 +126,7 @@ def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> np
 
 def _whitened_spectrum(L: np.ndarray, A: np.ndarray):
     """Eigen-system of W = A^{-T} Y A^{-1} for SPD Y = L L', from the
-    Cholesky factor L (m x m or a (K, m, m) stack) that validated Y.
+    Cholesky factor L (m x m or a (K, m, m) stack) of Y.
 
     The eigenvalues are the squared singular values of G = L' A^{-1}, so
     the conditioning of A enters only linearly.  G is factored as the
@@ -154,23 +146,20 @@ def _whitened_spectrum(L: np.ndarray, A: np.ndarray):
 
 
 def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: float,
-                  kernel: KernelSpec, convention: Convention,
-                  exponent: float | None = None, total: bool = False):
+                  kernel: KernelSpec, convention: Convention, total: bool = False):
     """The log T-density from its spectral ingredients, for one matrix or a batch.
 
     deltas, (m,) or (K, m), are the eigenvalues of beta^{-1} T, u the trace
     argument and logdet_T log|T|, one per matrix; the value per matrix is
 
-        log c(n, beta, Xi) + log|G(deltas)| + exponent log|T| + log h(u)
+        log c(n, beta, Xi) + log|G(deltas)| + (n - m - 1)/2 log|T| + log h(u).
 
-    with exponent (n - m - 1)/2 by default.  Every T-density law of the
-    package is evaluated here.  A zero of the product factor gives -inf.
-    total=True returns the sum over the batch without forming per-matrix
-    values; logdet_T is then the batch total.
+    Every T-density law of the package is evaluated here.  A zero of the
+    product factor gives -inf.  total=True returns the sum over the batch
+    without forming per-matrix values; logdet_T is then the batch total.
     """
     m = np.shape(deltas)[-1]
-    if exponent is None:
-        exponent = (n - m - 1) / 2
+    exponent = (n - m - 1) / 2
     const = (0.5 * n * m * math.log(math.pi) - log_mv_gamma(m, n / 2)
              - 0.5 * n * logdet_beta - n * logdet_xi)
     if convention is Convention.AS_PUBLISHED:
@@ -227,8 +216,7 @@ def _logpdf_scaled(L, A: np.ndarray, logdet_scale: float, params: GbsParams,
     """Log T-density of SPD Y = L L' (one matrix or a stack) under the scale
     A'A, with logdet_scale = log|A'A|; A = Delta gives the law of T itself."""
     deltas, vecs = _whitened_spectrum(L, A)
-    if (deltas[..., -1] <= 0.0).any():
-        raise NotSpdError(f"{name} is numerically singular after whitening")
+    _require_floor(np.atleast_2d(deltas), name, deltas.ndim == 2)
     _check_branch_support(deltas, convention, name)
     u = _trace_argument_spectral(deltas, vecs, params.xi)
     return log_t_density(deltas, u, np.log(deltas).sum(axis=-1) + logdet_scale, params.n,
@@ -242,10 +230,12 @@ def logpdf_T(T, params: GbsParams, kernel: KernelSpec,
     T is one m x m matrix, giving a float, or a (K, m, m) stack, giving an
     array of K values, one per matrix.  Every scale beta takes the same
     route: the eigenvalues of beta^{-1} T are the squared singular values of
-    L' Delta^{-1}, with T = L L' the Cholesky factorisation that validates
-    T (_whitened_spectrum).  Under the branch convention a matrix
-    outside the branch region raises OutsideSupportError; for a stack the
-    error names the matrix as T[k] and carries k as ``row``.
+    L' Delta^{-1}, with T = L L' the one Cholesky factorisation of T
+    (_whitened_spectrum), and they are held to the positive-definiteness
+    floor of linalg._require_floor; for a scalar beta their ratio is T's.
+    Under the branch convention a matrix outside the branch region raises
+    OutsideSupportError; for a stack either error names the matrix as T[k]
+    and carries k as ``row``.
     """
     T, L = _spd_cholesky(T, "T")
     kernel.check_dims(params.n, params.m)
@@ -264,6 +254,7 @@ def gfactor_sign(T, params: GbsParams) -> int:
     points where the as-published formula goes negative.
     """
     deltas, _ = _whitened_spectrum(_spd_cholesky(T, "T")[1], params.delta)
+    _require_floor(np.atleast_2d(deltas), "T", deltas.ndim == 2)
     _, sign = log_abs_gfactor(deltas, params.n, params.m, form="first")
     return sign
 
@@ -273,23 +264,17 @@ def logpdf_T_inverse(S, params: GbsParams, kernel: KernelSpec,
     """Log density of S = T^{-1}.
 
     Agrees with logpdf_T(S^{-1}) - (m+1) log|det S| by the change of
-    variables (dT) = |det S|^{-(m+1)} (dS).
+    variables (dT) = |det S|^{-(m+1)} (dS), and is evaluated so: S = L L'
+    gives S^{-1} = L^{-T} L^{-1}, whitened as logpdf_T whitens T.
     """
     S, L = _spd_cholesky(S, "S")
     kernel.check_dims(params.n, params.m)
-    n, m = params.n, params.m
+    m = params.m
     if S.shape[0] != m:
         raise DomainError(f"S is {S.shape[0]}x{S.shape[0]}, expected m={m}")
-    w, vecs = _whitened_spectrum(L, np.linalg.inv(params.delta))  # of Delta S Delta
-    if w[-1] <= 0.0:
-        raise NotSpdError("delta S delta is numerically singular")
-    rhos = 1.0 / w[::-1]
-    _check_branch_support(rhos, convention, "S")
-    # u is invariant under W -> W^{-1}, so the spectrum of Delta S Delta serves
-    u = _trace_argument_spectral(w, vecs, params.xi)
-    return float(log_t_density(rhos, u, _slogdet(S), n, _slogdet(params.beta),
-                               _slogdet(params.xi), kernel, convention,
-                               exponent=-(n + m + 1) / 2))
+    value = _logpdf_scaled(np.linalg.inv(L).T, params.delta, _slogdet(params.beta), params,
+                           kernel, convention, "S")
+    return float(value - (m + 1) * _slogdet(S))
 
 
 def logpdf_T_congruence(Y, C, params: GbsParams, kernel: KernelSpec,

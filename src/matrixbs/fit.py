@@ -49,8 +49,7 @@ import numpy as np
 from .density import Convention, log_t_density
 from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec
-from .linalg import (_spd_eigh, check_spd, digamma, log_minus_digamma, log_mv_gamma,
-                     sym_part, trigamma)
+from .linalg import _spd_eigh, digamma, log_minus_digamma, log_mv_gamma, sym_part, trigamma
 from .sampling import SampleBatch
 from .transform import log_abs_gfactor, log_gfactor_slope
 
@@ -97,7 +96,8 @@ def _as_stack(data, n: int | None = None) -> np.ndarray:
 
 class _Prepared:
     """Per-dataset quantities that do not depend on the parameters, from the
-    one batched eigh T_k = P_k diag(lambda_k) P_k' that validates the data."""
+    one batched eigh T_k = P_k diag(lambda_k) P_k' that validates the data
+    (linalg._spd_eigh: finite, symmetric and above the eigenvalue floor)."""
 
     def __init__(self, mats: np.ndarray):
         T, lam, P = _spd_eigh(mats, "T")
@@ -145,7 +145,7 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
         raise DomainError(f"beta must be finite, got {beta}")
     mats = _as_stack(data, n)
     prep = _Prepared(mats)
-    xi = check_spd(xi, "xi")
+    xi, w, P = _spd_eigh(xi, "xi")
     if xi.shape[0] != prep.m:
         raise DomainError(f"xi is {xi.shape[0]}x{xi.shape[0]}, data has m={prep.m}")
     kernel.check_dims(n, prep.m)
@@ -153,9 +153,6 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     # for n > m an eigenvalue at or below beta leaves log(1 - beta/lambda)
     # undefined: the observation is outside the branch support
     if beta <= 0.0 or (n > prep.m and beta >= prep.min_lam):
-        return -math.inf
-    w, P = np.linalg.eigh(xi)
-    if w[0] <= 0.0:
         return -math.inf
     theta = ((P / (w * w)) @ P.T)[prep.triu]   # Xi^{-2}
     u = prep.trace(theta, beta)

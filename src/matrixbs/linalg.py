@@ -18,6 +18,12 @@ from .errors import DomainError, NotSpdError, NotSymmetricError, RankDeficientEr
 RANK_TOL = 1e-12
 # Relative symmetry tolerance for symmetric/SPD inputs.
 SYM_TOL = 1e-12
+# A symmetric matrix of order m is numerically positive definite when
+# lambda_min > m (m + 1) EPS lambda_max.  In floating point a Cholesky
+# factorisation breaks down only below about half that ratio (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, Thm 10.7, after
+# Demmel 1989), so every matrix it refuses is below the floor.
+EPS = np.finfo(float).eps
 # digamma and trigamma recur up to this argument, then sum their asymptotic
 # series in the Bernoulli numbers B_2, ..., B_16: the first term left out is
 # below 3e-17 of either function there
@@ -58,81 +64,94 @@ def sym_part(S: np.ndarray) -> np.ndarray:
 def check_spd(S, name: str = "matrix") -> np.ndarray:
     """Validate an SPD matrix or a (K, m, m) stack of them; returns the symmetrised copy.
 
-    Positive definiteness is one batched Cholesky factorisation, which
-    completes where the smallest eigenvalue is above about eps |S|; only a
-    stack that fails is scanned by eigenvalues.  For a stack, the error
-    names the first failing matrix as name[k] and carries k as ``row``.
+    Each matrix must be finite, symmetric within SYM_TOL, and numerically
+    positive definite by its eigenvalues (_require_floor).  For a stack, the
+    error names the first failing matrix as name[k] and carries k as ``row``.
     """
-    return _spd_cholesky(S, name)[0]
+    return _spd_eigh(S, name)[0]
+
+
+def _fail(error, k: int, stack: bool, name: str, detail: str):
+    """Raise error for matrix k of a stack, named name[k] with k as ``row``,
+    or for the one matrix, named name."""
+    raise error(f"{name}[{k}] {detail}" if stack else f"{name} {detail}",
+                row=k if stack else None)
 
 
 def _symmetrised(S, name: str):
     """check_spd's finiteness and symmetry gates.  Returns the symmetrised
-    (K, m, m) stack, whether S was one, and fail(error, bad, detail), which
-    raises for the first matrix flagged in bad."""
+    (K, m, m) stack and whether S was one."""
     S = np.asarray(S, dtype=float)
     stack = S.ndim == 3
     if not stack:
         S = as_matrix(S, name)[None]
-
-    def fail(error, bad: np.ndarray, detail: str):
-        k = int(np.argmax(bad))
-        raise error(f"{name}[{k}] {detail}" if stack else f"{name} {detail}",
-                    row=k if stack else None)
-
     if S.shape[1] != S.shape[2]:
         raise NotSymmetricError(f"{name} must be square, got shape {S.shape[1:]}")
     finite = np.isfinite(S).all(axis=(1, 2))
     if not finite.all():
-        fail(DomainError, ~finite, "contains non-finite entries")
+        _fail(DomainError, int(np.argmin(finite)), stack, name, "contains non-finite entries")
     St = np.swapaxes(S, 1, 2)
     scale = np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
     asym = np.abs(S - St).max(axis=(1, 2)) > SYM_TOL * scale
     if asym.any():
-        fail(NotSymmetricError, asym, f"is not symmetric within {SYM_TOL:g} relative")
-    return 0.5 * (S + St), stack, fail
+        _fail(NotSymmetricError, int(np.argmax(asym)), stack, name,
+              f"is not symmetric within {SYM_TOL:g} relative")
+    return 0.5 * (S + St), stack
+
+
+def _require_floor(w: np.ndarray, name: str, stack: bool) -> None:
+    """The package's one test of positive definiteness, on the eigenvalues
+    w, (K, m) and sorted along the last axis either way, of K symmetric
+    matrices: each needs lambda_min > m (m + 1) EPS lambda_max, else
+    NotSpdError names the first that fails as name[k] with k as ``row`` for
+    a stack, or as name for one matrix (K = 1, stack False)."""
+    m = w.shape[1]
+    # the end columns: a min or max over the short last axis is the slow part
+    lo, hi = np.minimum(w[:, 0], w[:, -1]), np.maximum(w[:, 0], w[:, -1])
+    bad = ~(lo > m * (m + 1) * EPS * hi)
+    if bad.any():
+        k = int(np.argmax(bad))
+        _fail(NotSpdError, k, stack, name,
+              f"is not numerically positive definite (eigenvalues {lo[k]:g} to {hi[k]:g})")
 
 
 def _spd_eigh(S, name: str = "matrix"):
-    """check_spd's validation by eigenvalues, returning the symmetrised copy, its
-    ascending eigenvalues, (m,) or (K, m) for a stack, and eigenvectors as columns."""
-    S, stack, fail = _symmetrised(S, name)
+    """check_spd, returning also the ascending eigenvalues, (m,) or (K, m) for
+    a stack, and the eigenvectors as columns of the symmetrised copy."""
+    S, stack = _symmetrised(S, name)
     w, P = np.linalg.eigh(S)
-    w_min = w[:, 0]
-    if (w_min <= 0.0).any():
-        fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
+    _require_floor(w, name, stack)
     return (S, w, P) if stack else (S[0], w[0], P[0])
 
 
 def _spd_cholesky(S, name: str = "matrix"):
-    """check_spd's validation, returning the symmetrised copy and its lower
-    Cholesky factor L, S = L L'.  A stack Cholesky rejects is scanned by
-    eigenvalues; where every eigenvalue is positive yet the factorisation
-    breaks down, the first such matrix is named the same way."""
-    S, stack, fail = _symmetrised(S, name)
+    """check_spd's finiteness and symmetry gates, then the lower Cholesky
+    factor L of the symmetrised copy, S = L L'; returns both.
+
+    The factorisation refuses only matrices below the eigenvalue floor, so
+    for a stack it refuses, one eigvalsh names the first of them.  A matrix
+    on which it completes can still be below the floor: the caller applies
+    _require_floor to the spectrum it computes from L.
+    """
+    S, stack = _symmetrised(S, name)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        w_min = np.linalg.eigh(S)[0][:, 0]
-        if (w_min <= 0.0).any():
-            fail(NotSpdError, w_min <= 0.0, f"has non-positive eigenvalue {w_min.min():g}")
-        for k, one in enumerate(S):
-            try:
-                np.linalg.cholesky(one)
-            except np.linalg.LinAlgError:
-                fail(NotSpdError, np.arange(len(S)) == k, "is not numerically positive"
-                     f" definite (Cholesky breaks down; smallest eigenvalue {w_min[k]:g})")
+        _require_floor(np.linalg.eigvalsh(S), name, stack)
+        raise NotSpdError(f"{name} is not numerically positive definite") from None
     return (S, L) if stack else (S[0], L[0])
+
+
+def _sqrt_from_eigh(w: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The SPD square root P diag(sqrt(w)) P' from _spd_eigh's eigen-system."""
+    # descending order: the product below rounds differently in ascending order
+    w, P = w[::-1].copy(), P[:, ::-1].copy()
+    return sym_part((P * np.sqrt(w)) @ P.T)
 
 
 def spd_sqrt(B) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix."""
-    w, V = np.linalg.eigh(check_spd(B, "B"))
-    if w[0] <= 0.0:  # Cholesky can complete where eigh rounds an eigenvalue to <= 0
-        raise NotSpdError(f"B has non-positive eigenvalue {w[0]:g}")
-    # descending order: the product below rounds differently in ascending order
-    w, V = w[::-1].copy(), V[:, ::-1].copy()
-    return sym_part((V * np.sqrt(w)) @ V.T)
+    return _sqrt_from_eigh(*_spd_eigh(B, "B")[1:])
 
 
 def pinv(A) -> np.ndarray:

@@ -21,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RankDeficientError
-from .linalg import (
-    as_matrix,
-    check_spd,
-    commutation,
-    pinv,
-    spd_sqrt,
-    sym_part,
-    vec,
-)
+from .linalg import (_spd_eigh, _sqrt_from_eigh, as_matrix, check_spd, commutation, pinv,
+                     sym_part, vec)
 
 # Distance from the unit singular value at which product-form Jacobians
 # are treated as sitting on the zero boundary.
@@ -65,13 +58,13 @@ class GbsParams:
         beta = np.asarray(self.beta, dtype=float)
         if beta.ndim == 0:
             beta = float(beta) * np.eye(m)
-        beta = check_spd(beta, "beta")
+        beta, w, P = _spd_eigh(beta, "beta")
         if beta.shape[0] != m:
             raise DomainError(f"xi is {m}x{m} but beta is {beta.shape[0]}x{beta.shape[0]}")
         if self.n < m:
             raise DomainError(f"need degrees n >= m, got n={self.n}, m={m}")
         if self.delta is None:
-            delta = spd_sqrt(beta)
+            delta = _sqrt_from_eigh(w, P)
         else:
             delta = np.asarray(self.delta, dtype=float)
             if np.abs(delta @ delta - beta).max() > 1e-10 * max(np.abs(beta).max(), 1.0):

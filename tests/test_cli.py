@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,30 +199,51 @@ class TestDataCheckedOnUse:
         assert len(calls) == 1, calls
 
     def test_near_singular_row_fitted(self, tmp_path, capsys):
-        # eigh calls this row positive definite (eigenvalues 1.4e-17 and 2) and
-        # Cholesky does not: fit takes it as fit_mle does, density refuses it
-        from matrixbs.density import Convention
-        from matrixbs.fit import FitSpec, fit_mle
-
-        data, out = tmp_path / "near.csv", tmp_path / "fit.json"
+        # a row with eigenvalues 1.4e-17 and 2 is below the floor
+        # lambda_min > m (m + 1) eps lambda_max: every command refuses it
+        data = tmp_path / "near.csv"
         data.write_text(POPB.read_text(encoding="utf-8") + "1.8815403921096419,"
                         "0.47210860729198595,0.118459607890358\n", encoding="utf-8")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         done = subprocess.run([sys.executable, "-m", "matrixbs.cli", "fit", "--data",
-                               str(data), "--n", "6", "--out", str(out)],
+                               str(data), "--n", "6"],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0
+        assert done.returncode == 2
         assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
-        fit = json.loads(out.read_text())
-        spec = FitSpec(convention=Convention.BRANCH_NORMALIZED)  # the CLI's default
-        want = fit_mle(read_batch(data), spec, 6)
-        assert (fit["estimates"]["beta"], fit["loglik"]) == (want.beta, want.loglik_max)
-        assert fit["converged"]
+        assert done.stderr == f"data error in {data}: row 21: matrix is not positive definite\n"
+        assert done.stdout == ""
 
         assert run("density", "--data", str(data), "--n", "6", *DATA_COMMANDS["density"]) == 2
         assert "row 21: matrix is not positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(DATA_COMMANDS))
+    @pytest.mark.parametrize("times_floor,code", [(0.25, 2), (4.0, 0)])
+    def test_floor_decides_every_command(self, command, times_floor, code, tmp_path, capsys):
+        # popB plus one rotated row whose eigenvalue ratio sits a factor 4
+        # below or above the floor 6 eps of m = 2: fit, compare and density
+        # all refuse it or all take it
+        from matrixbs.linalg import EPS
+
+        floor = 6 * EPS
+        c, s = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s], [s, c]])
+        row = Q @ np.diag([2.0, 2.0 / (times_floor * floor)]) @ Q.T
+        cells = [row[0, 0], row[0, 1], row[1, 1]]
+        stored = np.array([[cells[0], cells[1]], [cells[1], cells[2]]])
+        w = np.linalg.eigvalsh(stored)
+        assert 0.5 * times_floor < w[0] / w[1] / floor < 2.0 * times_floor
+        data = tmp_path / "edge.csv"
+        data.write_text(POPB.read_text(encoding="utf-8")
+                        + ",".join(repr(float(x)) for x in cells) + "\n", encoding="utf-8")
+        assert run(command, "--data", str(data), "--n", "6", *DATA_COMMANDS[command]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (f"data error in {data}: row 21:"
+                                    " matrix is not positive definite\n")
+        else:
+            assert captured.err == "" and captured.out
 
 
 class TestSampleCommand:

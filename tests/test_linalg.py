@@ -164,8 +164,8 @@ class TestPolygamma:
 
 
 class TestCheckSpd:
-    """The Cholesky route of check_spd against the eigenvalue route that
-    fit._Prepared keeps (_spd_eigh)."""
+    """check_spd against _spd_eigh, the route fit._Prepared takes: both hold
+    each matrix to the one eigenvalue floor of linalg._require_floor."""
 
     @staticmethod
     def _errors(S):
@@ -196,8 +196,8 @@ class TestCheckSpd:
 
     def test_one_matrix_unindexed(self):
         cholesky, eigenvalues = self._errors(np.diag([1.0, -2.0]))
-        assert cholesky == eigenvalues == (NotSpdError, "T has non-positive eigenvalue -2",
-                                           None)
+        assert cholesky == eigenvalues == (
+            NotSpdError, "T is not numerically positive definite (eigenvalues -2 to 1)", None)
 
     def test_returns_symmetrised_copy_and_factor(self, rng):
         from matrixbs.linalg import _spd_cholesky, _spd_eigh, check_spd
@@ -229,13 +229,42 @@ class TestCheckSpd:
             check_spd(near, "T")
 
     def test_spd_sqrt_rejects_what_only_cholesky_passes(self):
-        # rank one up to rounding: potrf completes, eigh gives eigenvalue 0
+        # rank one up to rounding: potrf completes, but the eigenvalue ratio is
+        # below the floor, so check_spd and spd_sqrt both refuse it
         from matrixbs.linalg import check_spd
 
         B = np.array([[0.7238722559418536, 0.6035927101571665],
                       [0.6035927101571665, 0.5032989685187469]])
-        if np.linalg.eigh(B)[0][0] > 0.0:
-            pytest.skip("this LAPACK rounds the small eigenvalue above zero")
-        check_spd(B)
-        with pytest.raises(NotSpdError, match="^B has non-positive eigenvalue"):
+        np.linalg.cholesky(B)
+        with pytest.raises(NotSpdError, match="^B is not numerically positive definite"):
+            check_spd(B, "B")
+        with pytest.raises(NotSpdError, match="^B is not numerically positive definite"):
             spd_sqrt(B)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_cholesky_refuses_only_below_floor(self, m):
+        # rotated matrices whose smallest eigenvalue is 1e-19 to 1e-13 of the
+        # largest, of either sign: every one LAPACK's Cholesky refuses is below
+        # the floor, so _spd_cholesky names a refused row from its eigenvalues
+        from matrixbs.linalg import _require_floor, _spd_cholesky
+
+        rng = np.random.default_rng(m)
+        refused = []
+        for _ in range(2000):
+            Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            w = rng.uniform(1.0, 2.0, size=m)
+            w[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-19, -13) * w.max()
+            S = sym_part((Q * w) @ Q.T)
+            try:
+                np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                refused.append(S)
+                with pytest.raises(NotSpdError):
+                    _require_floor(np.linalg.eigvalsh(S)[None], "T", False)
+        assert len(refused) > 500
+        stack = np.array([rand_spd(m, rng) for _ in range(5)])
+        stack[3] = refused[0]
+        with pytest.raises(NotSpdError, match=r"^T\[3\] is not numerically positive"
+                                              r" definite") as err:
+            _spd_cholesky(stack, "T")
+        assert err.value.row == 3

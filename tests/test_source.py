@@ -1,9 +1,10 @@
 """Static checks on the package source, in place of a linter: every import
 is used, every private module-level name is referenced somewhere in the
 package, every module-level constant is read or exported, every error type
-is used outside errors.py, no module imports
-scipy (numpy is the one runtime dependency), and every flag a CLI
-subcommand defines is read for that subcommand."""
+is used outside errors.py, NotSpdError is raised only in linalg.py (the
+one positive-definiteness rule), no module imports scipy (numpy is the one
+runtime dependency), and every flag a CLI subcommand defines is read for
+that subcommand."""
 
 import argparse
 import ast
@@ -94,6 +95,21 @@ def test_every_error_type_is_used():
                          if module != "errors.py"))
     defined = [node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)]
     assert [name for name in defined if name not in used] == []
+
+
+def test_not_spd_raised_only_in_linalg():
+    # a raise of NotSpdError, directly or through a helper it is passed to,
+    # outside linalg.py would be a second positive-definiteness rule
+    def raisers(tree):
+        nodes = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+        nodes += [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for arg in node.args]
+        return [node.lineno for node in nodes for name in ast.walk(node)
+                if isinstance(name, ast.Name) and name.id == "NotSpdError"]
+
+    assert raisers(TREES["linalg.py"])
+    assert {module: lines for module, tree in TREES.items() if module != "linalg.py"
+            for lines in [raisers(tree)] if lines} == {}
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
