@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import DomainError, OutsideSupportError, SingularMatrixError
 from .kernels import KernelSpec, log_h
-from .linalg import _require_floor, _spd_cholesky, _spd_eigh, as_matrix, log_mv_gamma
+from .linalg import _require_floor, _spd_cholesky, as_matrix, log_mv_gamma
 from .transform import (
     GbsParams,
-    _branch_factors,
+    _whitened_spectrum,
     branch_eigs,
     log_abs_gfactor,
     log_jacobian_sv,
@@ -36,8 +36,7 @@ from .transform import (
 
 __all__ = ["Convention", "ElementwiseParams", "gfactor_sign", "logpdf_T",
            "log_t_density", "logpdf_T_congruence", "logpdf_T_inverse", "logpdf_V",
-           "logpdf_elementwise", "logpdf_sqrt_gbs", "logpdf_uni_gbs",
-           "trace_argument"]
+           "logpdf_elementwise", "logpdf_sqrt_gbs", "logpdf_uni_gbs"]
 
 
 class Convention(enum.Enum):
@@ -108,45 +107,17 @@ def logpdf_elementwise(T, params: ElementwiseParams, kernel: KernelSpec) -> floa
     return prefactor + log_h(kernel, u)
 
 
-def trace_argument(W: np.ndarray, xi: np.ndarray) -> float:
-    """tr Xi^{-2} (W + W^{-1} - 2 I) for symmetric positive definite W.
-
-    Invariant under W -> W^{-1}; nonnegative, zero exactly at W = I.
-    """
-    _, w, P = _spd_eigh(W, "W")
-    return float(_trace_argument_spectral(w, P, xi))
-
-
 def _trace_argument_spectral(w: np.ndarray, P: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """trace_argument from eigenvalues w (..., m) and eigenvectors P (..., m, m):
-    the sum of p' Xi^{-2} p (w - 1)^2 / w over the eigenpairs, each term >= 0."""
+    """tr Xi^{-2} (W + W^{-1} - 2 I) from the eigenvalues w (..., m) and
+    eigenvectors P (..., m, m) of SPD W: the sum of p' Xi^{-2} p (w - 1)^2 / w
+    over the eigenpairs, each term >= 0, zero exactly at W = I.  Invariant
+    under W -> W^{-1}."""
     M = np.linalg.inv(xi @ xi)
     return np.einsum("...ai,...ai,...i->...", P, M @ P, (w - 1.0) ** 2 / w)
 
 
-def _whitened_spectrum(L: np.ndarray, A: np.ndarray):
-    """Eigen-system of W = A^{-T} Y A^{-1} for SPD Y = L L', from the
-    Cholesky factor L (m x m or a (K, m, m) stack) of Y.
-
-    The eigenvalues are the squared singular values of G = L' A^{-1}, so
-    the conditioning of A enters only linearly.  G is factored as the
-    sampler factors Z Xi (transform._branch_factors): eigh of W = G'G,
-    then one-sided Jacobi sweeps where the columns of G Q are not
-    orthogonal.  Where every eigenvalue is at least 1.001 (m = 1 to 5,
-    singular values up to 1e12 apart), the eigenvalues and the trace
-    argument are within 1e-12 relative of numpy's SVD of G, or of 50-digit
-    values where that SVD strays further; near a tied eigenvalue at 1 both
-    routes are good only to about eps / (delta - 1).  Returns (eigenvalues
-    descending, eigenvectors as columns).
-    """
-    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)
-    _, d, Qt = _branch_factors(G if G.ndim == 3 else G[None])
-    deltas, vecs = d * d, np.swapaxes(Qt, 1, 2)
-    return (deltas, vecs) if L.ndim == 3 else (deltas[0], vecs[0])
-
-
 def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: float,
-                  kernel: KernelSpec, convention: Convention, total: bool = False):
+                  kernel: KernelSpec, convention: Convention):
     """The log T-density from its spectral ingredients, for one matrix or a batch.
 
     deltas, (m,) or (K, m), are the eigenvalues of beta^{-1} T, u the trace
@@ -154,25 +125,19 @@ def log_t_density(deltas, u, logdet_T, n: int, logdet_beta: float, logdet_xi: fl
 
         log c(n, beta, Xi) + log|G(deltas)| + (n - m - 1)/2 log|T| + log h(u).
 
-    Every T-density law of the package is evaluated here.  A zero of the
-    product factor gives -inf.  total=True returns the sum over the batch
-    without forming per-matrix values; logdet_T is then the batch total.
+    Every T-density law of the package is evaluated here, and the
+    likelihood sums its values.  A zero of the product factor gives -inf.
     """
     m = np.shape(deltas)[-1]
-    exponent = (n - m - 1) / 2
     const = (0.5 * n * m * math.log(math.pi) - log_mv_gamma(m, n / 2)
              - 0.5 * n * logdet_beta - n * logdet_xi)
     if convention is Convention.AS_PUBLISHED:
         const -= m * math.log(2.0)
-    log_g, _ = log_abs_gfactor(deltas, n, m, total=total)
-    if total:
-        if log_g == -math.inf:
-            return -math.inf
-        return float(np.size(u) * const + log_g + exponent * logdet_T
-                     + log_h(kernel, u, total=True))
+    log_g, _ = log_abs_gfactor(deltas, n, m)
     # at a zero of G the density vanishes whatever the kernel gives there
     zero = log_g == -math.inf
-    value = const + log_g + exponent * logdet_T + log_h(kernel, np.where(zero, 1.0, u))
+    value = (const + log_g + (n - m - 1) / 2 * logdet_T
+             + log_h(kernel, np.where(zero, 1.0, u)))
     return np.where(zero, -np.inf, value)
 
 
@@ -181,16 +146,16 @@ def logpdf_V(V, params: GbsParams, kernel: KernelSpec,
     """Log density of the rectangular factor V (n x m, full column rank).
 
     The Jacobian is the singular-value product form; the explicit
-    determinant transform.jacobian_det_form is its test oracle.
+    determinant transform.jacobian_det_form is its test oracle.  It and the
+    trace argument take the one eigen-system of branch_eigs, as logpdf_T
+    takes the one of _whitened_spectrum.
     """
     V = as_matrix(V, "V")
     kernel.check_dims(params.n, params.m)
-    eigs = branch_eigs(V, params)
-    _check_branch_support(eigs, convention, "V")
-    log_j, _ = log_jacobian_sv(eigs, params, "first")
-    dinv = np.linalg.inv(params.delta)
-    u = trace_argument(dinv @ (V.T @ V) @ dinv, params.xi)
-    value = log_j + log_h(kernel, u)
+    deltas, vecs = branch_eigs(V, params)
+    _check_branch_support(deltas, convention, "V")
+    log_j, _ = log_jacobian_sv(deltas, params, "first")
+    value = log_j + log_h(kernel, _trace_argument_spectral(deltas, vecs, params.xi))
     if convention is Convention.BRANCH_NORMALIZED:
         value += params.m * math.log(2.0)
     return float(value)

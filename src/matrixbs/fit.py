@@ -135,8 +135,8 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
            convention: Convention = Convention.AS_PUBLISHED) -> float:
     """Sample log-likelihood of the scalar-scale model.
 
-    Sums the T-density of density.log_t_density over the batch from the
-    cached eigenvalues of the data, so it equals the sum of logpdf_T.  For
+    Sums the per-matrix values of density.log_t_density, from the
+    eigenvalues of the data, so it equals the sum of logpdf_T.  For
     degrees n > m, observations with an eigenvalue at or below beta are
     outside the branch support and pull the value to -inf.  A beta that is
     not finite raises DomainError.
@@ -156,8 +156,9 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
         return -math.inf
     theta = ((P / (w * w)) @ P.T)[prep.triu]   # Xi^{-2}
     u = prep.trace(theta, beta)
-    value = log_t_density(prep.lam / beta, u, prep.sum_log_lam, n, prep.m * math.log(beta),
-                          float(np.log(w).sum()), kernel, convention, total=True)
+    value = float(log_t_density(prep.lam / beta, u, np.log(prep.lam).sum(axis=-1), n,
+                                prep.m * math.log(beta), float(np.log(w).sum()), kernel,
+                                convention).sum())
     # a term overflows (nan or +inf) only at an extreme beta, where the
     # likelihood tends to -inf: u grows like beta or 1/beta, |G| polynomially
     return value if value < math.inf else -math.inf
@@ -265,8 +266,8 @@ class EvidenceGrade(enum.Enum):
 
 
 def evidence_grade(diff: float) -> EvidenceGrade:
-    """Grade an absolute BIC* difference: thresholds 2, 6, 10."""
-    if diff < 0.0:
+    """Grade an absolute BIC* difference: thresholds 2, 6, 10; nan raises, as < 0 does."""
+    if not diff >= 0.0:
         raise NegativeDiffError(f"difference must be nonnegative, got {diff}")
     if diff < 2.0:
         return EvidenceGrade.WEAK
@@ -438,11 +439,11 @@ class _KotzProfile:
         a = (q - self.q_floor) / s
         log_c = np.log(K * a / (KOTZ_R * sum_u_s)) / s
         log_det = np.log(np.linalg.eigvalsh(self.matrix(theta))).sum(axis=1)[:, None]
-        log_g, _ = log_abs_gfactor(prep.lam / beta, self.n, m, total=True)
+        log_g = log_abs_gfactor((prep.lam / beta).reshape(-1, m), self.n, m)[0]
         # at c, sum_k r u_k^s = K a
         value = (K * (a * math.log(KOTZ_R) - _lgamma(a)) + self.half_kn * (m * log_c + log_det)
                  + (q - 1.0) * (K * log_c + sum_log_u) - K * a
-                 + (log_g - self.half_kn * m * x)[:, None])
+                 + (log_g.reshape(-1, K).sum(axis=-1) - self.half_kn * m * x)[:, None])
         theta = theta[:, None, :] * np.exp(log_c)[..., None]
         feasible = np.isfinite(theta).all(axis=-1) & (np.exp(log_c) > 0.0) & np.isfinite(value)
         return q, theta, np.where(feasible, value, -np.inf)

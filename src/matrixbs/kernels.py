@@ -79,36 +79,33 @@ def kotz_kernel(q: float, r: float, s: float, n: int, m: int) -> KernelSpec:
     return KernelSpec(family=KOTZ, n=n, m=m, q=q, r=r, s=s)
 
 
-def log_h(kernel: KernelSpec, u, total: bool = False):
+def log_h(kernel: KernelSpec, u):
     """log generator at u >= 0, normalising constant included.
 
     u may be a scalar (float result) or an array (element-wise array
-    result); total=True returns the sum over u without forming the
-    element-wise values.  Kotz at u = 0 with q != 1 is degenerate: the
-    density is 0 for q > 1 (returns -inf) and diverges for q < 1 (returns
-    +inf with a SingularKernelWarning).
+    result).  Kotz at u = 0 with q != 1 is degenerate: the density is 0
+    for q > 1 (returns -inf) and diverges for q < 1 (returns +inf with a
+    SingularKernelWarning).
     """
     u_arr = np.asarray(u, dtype=float)
     lowest = u_arr.min(initial=np.inf)
     if lowest < 0.0:
         raise DomainError(f"generator argument must be nonnegative, got {lowest}")
-    count = u_arr.size if total else 1
-    agg = np.add.reduce if total else np.asarray
     nm = kernel.nm
     if kernel.family == GAUSSIAN:
-        value = -0.5 * nm * math.log(2 * math.pi) * count - 0.5 * agg(u_arr)
+        value = -0.5 * nm * math.log(2 * math.pi) - 0.5 * u_arr
     else:
         q, r, s = kernel.q, kernel.r, kernel.s
         a = (2 * q + nm - 2) / (2 * s)
         const = (math.log(s) + a * math.log(r) + math.lgamma(nm / 2)
                  - 0.5 * nm * math.log(math.pi) - math.lgamma(a))
-        value = const * count - r * agg(u_arr**s)
+        value = const - r * u_arr**s
         if q != 1.0:
             if q < 1.0 and lowest == 0.0:
                 warnings.warn("kotz kernel diverges at u = 0 for q < 1",
                               SingularKernelWarning, stacklevel=2)
             with np.errstate(divide="ignore"):
-                value = value + (q - 1.0) * agg(np.log(u_arr))
+                value = value + (q - 1.0) * np.log(u_arr)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankDeficientError
-from .linalg import (_spd_eigh, _sqrt_from_eigh, as_matrix, check_spd, commutation, pinv,
-                     sym_part, vec)
+from .errors import DomainError
+from .linalg import (_require_floor, _spd_eigh, _sqrt_from_eigh, as_matrix, check_spd,
+                     commutation, pinv, vec)
 
 # Distance from the unit singular value at which product-form Jacobians
 # are treated as sitting on the zero boundary.
@@ -187,6 +187,28 @@ def _branch_factors(Y: np.ndarray):
     return P, d, Qt
 
 
+def _whitened_spectrum(L: np.ndarray, A: np.ndarray):
+    """Eigen-system of W = A^{-T} Y A^{-1} for SPD Y = L L', from a factor L
+    (m x p, or a (K, m, p) stack) of Y: the Cholesky factor of T, or V' for
+    Y = V'V.
+
+    The eigenvalues are the squared singular values of G = L' A^{-1}, so
+    the conditioning of A enters only linearly.  G is factored as the
+    sampler factors Z Xi (_branch_factors): eigh of W = G'G, then one-sided
+    Jacobi sweeps where the columns of G Q are not orthogonal.  Where every
+    eigenvalue is at least 1.001 (m = 1 to 5, singular values up to 1e12
+    apart), the eigenvalues and the trace argument are within 1e-12
+    relative of numpy's SVD of G, or of 50-digit values where that SVD
+    strays further; near a tied eigenvalue at 1 both routes are good only
+    to about eps / (delta - 1).  Returns (eigenvalues descending,
+    eigenvectors as columns).
+    """
+    G = np.swapaxes(L, -1, -2) @ np.linalg.inv(A)
+    _, d, Qt = _branch_factors(G if G.ndim == 3 else G[None])
+    deltas, vecs = d * d, np.swapaxes(Qt, 1, 2)
+    return (deltas, vecs) if L.ndim == 3 else (deltas[0], vecs[0])
+
+
 def inverse_map_branch(Z, params: GbsParams) -> np.ndarray:
     """Right inverse of forward_map on the branch with singular values >= 1.
 
@@ -219,18 +241,16 @@ def inverse_map_branch(Z, params: GbsParams) -> np.ndarray:
     return V if stack else V[0]
 
 
-def branch_eigs(V, params: GbsParams) -> np.ndarray:
-    """Descending eigenvalues of beta^{-1} V'V, computed symmetrically.
-
-    These are the squared singular values of V Delta^{-1}; the branch
-    region is where all of them exceed 1.
-    """
+def branch_eigs(V, params: GbsParams):
+    """Eigenvalues (descending) and eigenvectors of Delta^{-1} V'V Delta^{-1},
+    the squared singular values of V Delta^{-1} from its one factorisation
+    (_whitened_spectrum), held to the floor of linalg._require_floor: a
+    rank-deficient V raises NotSpdError.  The branch region is where every
+    eigenvalue exceeds 1."""
     V = _validate_v(V, params)
-    dinv = np.linalg.inv(params.delta)
-    g2 = np.linalg.eigvalsh(sym_part(dinv @ (V.T @ V) @ dinv))[::-1]
-    if g2[-1] <= 0.0:
-        raise RankDeficientError("V'V is numerically singular")
-    return g2
+    deltas, vecs = _whitened_spectrum(V.T, params.delta)
+    _require_floor(deltas[None], "V'V", False)
+    return deltas, vecs
 
 
 def _gfactor_pairs(n: int, m: int):
@@ -241,22 +261,21 @@ def _gfactor_pairs(n: int, m: int):
     for n > m, where the factor (1 - x_i)^(n-m) is present.
     """
     pairs = [(i, j) for i in range(m) for j in range(i if n > m else i + 1, m)]
-    weights = np.array([n - m if i == j else 1 for i, j in pairs], dtype=float)
+    weights = np.array([n - m if i == j else 1 for i, j in pairs], dtype=int)
     return weights, np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 @np.errstate(divide="ignore")
-def log_abs_gfactor(deltas, n: int, m: int, form: str = "first", total: bool = False):
+def log_abs_gfactor(deltas, n: int, m: int, form: str = "first"):
     """log|G| and sign of the product-form Jacobian factor at eigenvalues deltas.
 
     first:   prod (1 - 1/d_i)^(n-m) (1 + 1/d_i) prod_{i<j} (1 - 1/(d_i d_j))
     second:  prod d_i^(-n) (d_i - 1)^(n-m) (1 + d_i) prod_{i<j} (d_i d_j - 1)
 
     deltas is one set of m eigenvalues or a (K, m) batch, giving one value
-    per set; total=True instead sums log|G| over the K axis of a (..., K, m)
-    array, one sum per leading index, and returns no sign (None).  Returns
-    (log_abs, sign); sign = 0 with log_abs = -inf on the zero set, anything
-    within BOUNDARY_TOL of d_i = 1 (for n > m) or d_i d_j = 1.
+    per set.  Returns (log_abs, sign); sign = 0 with log_abs = -inf on the
+    zero set, anything within BOUNDARY_TOL of d_i = 1 (for n > m) or
+    d_i d_j = 1.
     """
     d = np.moveaxis(np.asarray(deltas, dtype=float), -1, 0)  # one row per eigenvalue
     if form == "first":
@@ -276,8 +295,6 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first", total: bool = F
     if form == "second":
         log_abs -= n * np.log(x).sum(axis=0)
     log_abs = np.where(zero, -np.inf, log_abs)
-    if total:
-        return log_abs.sum(axis=-1), None
     sign = np.where(zero, 0, 1 - 2 * (weights @ (F < 0.0) % 2)).astype(int)
     if log_abs.ndim == 0:
         return float(log_abs), int(sign)
@@ -285,8 +302,8 @@ def log_abs_gfactor(deltas, n: int, m: int, form: str = "first", total: bool = F
 
 
 def log_gfactor_slope(deltas, n: int, m: int):
-    """log|G| as log_abs_gfactor(..., total=True) gives it, d log|G| / d ln beta
-    and d^2 log|G| / d (ln beta)^2, each summed over the K axis of a (..., K, m)
+    """log|G| as log_abs_gfactor gives it, d log|G| / d ln beta and
+    d^2 log|G| / d (ln beta)^2, each summed over the K axis of a (..., K, m)
     array of deltas, the eigenvalues of beta^{-1} T: one value per leading index.
 
     In the first form every x = 1/d is proportional to beta, so each pair
@@ -319,7 +336,7 @@ def jacobian_det_form(V, params: GbsParams) -> float:
     eye_n = np.eye(n)
     vp = pinv(V)                       # (V'V)^{-1} V'
     vtp = vp.T                         # V'^+ = V (V'V)^{-1}
-    vtv_inv = np.linalg.inv(V.T @ V)
+    vtv_inv = vp @ vtp                 # (V'V)^{-1}
     dinv = np.linalg.inv(params.delta)
     inner = (np.kron(dinv, eye_n)
              + np.kron(params.delta, eye_n)
@@ -333,9 +350,9 @@ def jacobian_det_form(V, params: GbsParams) -> float:
 
 def log_jacobian_sv(g2, params: GbsParams, form: str):
     """log|Jacobian| of forward_map by the product form, and the factor's sign,
-    at g2 = branch_eigs(V, params).  The form has no 1/(d_i - d_j) term, so
-    tied eigenvalues need no care; on the unit boundary it gives -inf and
-    sign 0, as the determinant form gives 0."""
+    at the eigenvalues g2, the first of branch_eigs(V, params).  The form has
+    no 1/(d_i - d_j) term, so tied eigenvalues need no care; on the unit
+    boundary it gives -inf and sign 0, as the determinant form gives 0."""
     n, m = params.n, params.m
     log_g, sign = log_abs_gfactor(g2, n, m, form=form)
     _, logdet_xi = np.linalg.slogdet(params.xi)
@@ -345,7 +362,7 @@ def log_jacobian_sv(g2, params: GbsParams, form: str):
 
 def jacobian_sv_form(V, params: GbsParams, variant: str = "first") -> float:
     """|Jacobian| of forward_map via the singular-value product form."""
-    log_j, _ = log_jacobian_sv(branch_eigs(V, params), params, variant)
+    log_j, _ = log_jacobian_sv(branch_eigs(V, params)[0], params, variant)
     return float(math.exp(log_j))
 
 
@@ -369,7 +386,7 @@ def jacobian_fd_oracle(V, params: GbsParams, step: float = 1e-5) -> float:
 def jacobian_report(V, params: GbsParams) -> JacobianReport:
     """All Jacobian routes plus their worst pairwise relative disagreement."""
     det_val = abs(jacobian_det_form(V, params))
-    log_sv, sign = log_jacobian_sv(branch_eigs(V, params), params, "first")
+    log_sv, sign = log_jacobian_sv(branch_eigs(V, params)[0], params, "first")
     sv_val = float(math.exp(log_sv))
     fd_val = jacobian_fd_oracle(V, params)
     values = [det_val, sv_val, jacobian_sv_form(V, params, "second"), fd_val]

@@ -18,7 +18,6 @@ from matrixbs.density import (
     logpdf_elementwise,
     logpdf_sqrt_gbs,
     logpdf_uni_gbs,
-    trace_argument,
 )
 from matrixbs.errors import (
     DomainError,
@@ -193,11 +192,19 @@ class TestNearScaleExact:
 
 
 def _logpdf_V_det(V, p, kern):
-    """As-published log V-density with the explicit determinant Jacobian."""
+    """As-published log V-density with the explicit determinant Jacobian and
+    the trace argument of the formed W = Delta^{-1} V'V Delta^{-1} at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
     det = abs(jacobian_det_form(V, p))
-    dinv = np.linalg.inv(p.delta)
     log_j = math.log(det) if det > 0.0 else -math.inf
-    return log_j + log_h(kern, trace_argument(dinv @ (V.T @ V) @ dinv, p.xi))
+    with mpmath.workdps(50):
+        dinv = mpmath.inverse(mpmath.matrix(p.delta.tolist()))
+        Vm = mpmath.matrix(np.asarray(V).tolist())
+        W = dinv * Vm.T * Vm * dinv
+        xi = mpmath.matrix(p.xi.tolist())
+        MA = mpmath.inverse(xi * xi) * (W + mpmath.inverse(W) - 2 * mpmath.eye(p.m))
+        u = float(sum(MA[i, i] for i in range(p.m)))
+    return log_j + log_h(kern, u)
 
 
 class TestVDensity:
@@ -216,19 +223,18 @@ class TestVDensity:
             kern = gaussian_kernel(n, m)
             a = logpdf_V(V, p, kern, AP)
             b = _logpdf_V_det(V, p, kern)
-            assert a == pytest.approx(b, abs=1e-10)
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
     def test_sv_route_one_spectrum_matches_det(self, rng, monkeypatch):
-        # the support check's spectrum is the one the product form uses
+        # the support check, the product form and the trace argument take
+        # their spectrum from one eigen-factorisation
         calls = []
-        branch_eigs = transform.branch_eigs
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
 
-        def counted(V, params):
-            calls.append(1)
-            return branch_eigs(V, params)
-
-        monkeypatch.setattr(density, "branch_eigs", counted)
-        monkeypatch.setattr(transform, "branch_eigs", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         for _ in range(50):
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, n + 1))
@@ -362,15 +368,15 @@ class TestTDensity:
 
     def test_trace_argument_symmetry(self, rng):
         # invariant under T -> beta T^{-1} beta
+        def u(T, p):
+            L = np.linalg.cholesky(0.5 * (T + T.T))
+            return float(density._trace_argument_spectral(
+                *transform._whitened_spectrum(L, p.delta), p.xi))
+
         for _ in range(20):
             p = GbsParams(n=6, xi=rand_spd(2, rng), beta=rand_spd(2, rng))
             T = rand_spd(2, rng, 0.5, 5.0)
-            dinv = np.linalg.inv(p.delta)
-            W = dinv @ T @ dinv
-            u1 = trace_argument(W, p.xi)
-            T2 = p.beta @ np.linalg.inv(T) @ p.beta
-            W2 = dinv @ T2 @ dinv
-            u2 = trace_argument(W2, p.xi)
+            u1, u2 = u(T, p), u(p.beta @ np.linalg.inv(T) @ p.beta, p)
             assert u1 == pytest.approx(u2, abs=1e-10 * max(1.0, u1))
 
 
@@ -597,7 +603,7 @@ class TestWhitenedSpectrum:
                 s = s_min * ratio ** -np.sort(np.r_[1.0, rng.uniform(size=max(m - 2, 0)),
                                                     0.0][-m:])
                 L[k] = _factor_with_whitened((_rotation(m, rng) * s) @ _rotation(m, rng).T, A)
-            got, got_vecs = density._whitened_spectrum(L, A)
+            got, got_vecs = transform._whitened_spectrum(L, A)
             want, want_vecs = svd_whitened_spectrum(L, A)
             assert (want >= 1.001 * (1 - 1e-12)).all()
             u_got = density._trace_argument_spectral(got, got_vecs, xi)
@@ -611,7 +617,7 @@ class TestWhitenedSpectrum:
                     exact = np.sort([float(e) for e in mpmath.eigsy(G.T * G)[0]])[::-1]
                 assert (np.abs(got[k] - exact) / exact).max() < 1e-12
             assert apart.sum() <= 2
-            one, one_vecs = density._whitened_spectrum(L[7], A)
+            one, one_vecs = transform._whitened_spectrum(L[7], A)
             assert np.array_equal(one, got[7]) and np.array_equal(one_vecs, got_vecs[7])
 
     @pytest.mark.parametrize("c", [2.0, 50.0])
@@ -621,7 +627,7 @@ class TestWhitenedSpectrum:
         L = np.array([_factor_with_whitened(math.sqrt(c) * _rotation(m, rng), A)
                       for _ in range(20)])
         xi = rand_spd(m, rng)
-        got, vecs = density._whitened_spectrum(L, A)
+        got, vecs = transform._whitened_spectrum(L, A)
         want, want_vecs = svd_whitened_spectrum(L, A)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         np.testing.assert_allclose(got, c, rtol=1e-12)
@@ -636,7 +642,7 @@ class TestWhitenedSpectrum:
         A = rand_spd(m, rng, 0.5, 3.0)
         L = np.array([_factor_with_whitened(math.sqrt(c) * _rotation(m, rng), A)
                       for _ in range(20)])
-        got, _ = density._whitened_spectrum(L, A)
+        got, _ = transform._whitened_spectrum(L, A)
         want, _ = svd_whitened_spectrum(L, A)
         spread = max(np.abs(got - c).max(), np.abs(want - c).max()) / (c - 1.0)
         print(f"W = (1 + 1e-9) I, m = 3: delta - 1 off by {spread:.2g} relative")

@@ -792,6 +792,9 @@ class TestEvidenceGrade:
     def test_negative_rejected(self):
         with pytest.raises(NegativeDiffError):
             evidence_grade(-0.5)
+        with pytest.raises(NegativeDiffError):
+            evidence_grade(float("nan"))
+        assert evidence_grade(math.inf) is EvidenceGrade.VERY_STRONG
 
 
 class TestProfileGrid:

@@ -211,6 +211,8 @@ class TestCheckSpd:
         assert np.abs(L @ np.swapaxes(L, 1, 2) - sym).max() < 1e-14
         one, L0 = _spd_cholesky(S[2])
         assert np.array_equal(one, sym[2]) and np.array_equal(L0, L[2])
+        # an exactly symmetric stack passes the whole-stack test, and is copied too
+        assert np.array_equal(check_spd(sym), sym) and not np.shares_memory(check_spd(sym), sym)
 
     def test_factorisation_breakdown_named(self, rng):
         # eigvalsh finds both eigenvalues positive; Cholesky breaks down on it

@@ -2,9 +2,10 @@
 is used, every private module-level name is referenced somewhere in the
 package, every module-level constant is read or exported, every error type
 is used outside errors.py, NotSpdError is raised only in linalg.py (the
-one positive-definiteness rule), no module imports scipy (numpy is the one
-runtime dependency), and every flag a CLI subcommand defines is read for
-that subcommand."""
+one positive-definiteness rule), density.py and transform.py factor only
+in transform._branch_factors (one spectrum per matrix), no module imports
+scipy (numpy is the one runtime dependency), and every flag a CLI
+subcommand defines is read for that subcommand."""
 
 import argparse
 import ast
@@ -110,6 +111,23 @@ def test_not_spd_raised_only_in_linalg():
     assert raisers(TREES["linalg.py"])
     assert {module: lines for module, tree in TREES.items() if module != "linalg.py"
             for lines in [raisers(tree)] if lines} == {}
+
+
+def test_eigen_factorisations_only_in_branch_factors():
+    # in density.py and transform.py every spectrum comes from the one
+    # factorisation in _branch_factors: an eigh, eigvalsh or svd elsewhere
+    # there would be a second spectrum of the same matrix
+    def factorisations(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("eigh", "eigvalsh", "svd")]
+
+    home = next(node for node in TREES["transform.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_branch_factors")
+    allowed = set(map(id, factorisations(home)))
+    assert allowed
+    assert [f"{module}:{node.lineno} {node.func.attr}" for module in ("density.py", "transform.py")
+            for node in factorisations(TREES[module]) if id(node) not in allowed] == []
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

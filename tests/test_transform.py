@@ -313,7 +313,7 @@ class TestGfactorSlope:
         deltas = 1.0 + rng.uniform(0.05, 3.0, size=(7, m))
 
         def log_g(h):
-            return log_abs_gfactor(deltas * math.exp(-h), n, m, total=True)[0]
+            return log_abs_gfactor(deltas * math.exp(-h), n, m)[0].sum(axis=-1)
 
         h = 1e-5
         value, slope, curvature = log_gfactor_slope(deltas, n, m)
@@ -325,4 +325,6 @@ class TestGfactorSlope:
         # a leading row axis gives each row's values as alone
         rows = log_gfactor_slope(np.stack([deltas, 2.0 * deltas]), n, m)
         assert [r[0] for r in rows] == [value, slope, curvature]
-        assert log_abs_gfactor(np.stack([deltas, deltas]), n, m, total=True)[0][1] == log_g(0.0)
+        # and each set's log|G| is its own within a larger batch
+        both = log_abs_gfactor(np.concatenate([2.0 * deltas, deltas]), n, m)[0]
+        assert both[len(deltas):].sum() == log_g(0.0)
