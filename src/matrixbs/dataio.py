@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, MatrixBsError
 from .fit import FitResult, ProfileResult
 from .kernels import kernel_from_json, kernel_to_json
 from .sampling import SampleBatch
@@ -168,7 +168,7 @@ def _batch_from_json(text: str) -> SampleBatch:
                 batch.params = GbsParams(n=int(prov["n"]),
                                          xi=np.asarray(prov["xi"], dtype=float),
                                          beta=np.asarray(prov["beta"], dtype=float))
-        except (TypeError, ValueError) as bad:
+        except (TypeError, ValueError, MatrixBsError) as bad:
             raise DataFormatError(f"malformed provenance: {bad}")
     return batch
 

@@ -22,10 +22,10 @@ likelihood is flat.
 Kotz: the likelihood is invariant under (Xi, r) -> (c Xi, r c^(2s)), so r
 is pinned at 1/2, which keeps the Gaussian nested at (q, s) = (1, 1).  One
 Newton solve over (ln beta, M = Xi^{-2}, q), on the same range of beta, fits
-every power of a grid in one batch (_KotzProfile), each from its closed-form
-maximum over (q, scale) on a ray of M.  A fit held at the bottom of the range,
-at the cap on q, or for m = 1 at beta_max with q < (3 - n)/2, where the
-likelihood is unbounded, is not converged.
+every power of a grid in one batch (_KotzProfile), each from the better of
+the maxima over (q, scale) on two rays of M.  A fit held at the bottom of the
+range, at the cap on q, or for m = 1 at beta_max with q < (3 - n)/2, where
+the likelihood is unbounded, is not converged.
 
 Model comparison uses the modified criterion
 
@@ -51,7 +51,7 @@ from .errors import DegenerateDataWarning, DomainError, NegativeDiffError
 from .kernels import GAUSSIAN, KOTZ, KernelSpec
 from .linalg import _spd_eigh, digamma, log_minus_digamma, log_mv_gamma, sym_part, trigamma
 from .sampling import SampleBatch
-from .transform import log_abs_gfactor, log_gfactor_slope
+from .transform import log_gfactor_slope
 
 __all__ = ["EvidenceGrade", "FitResult", "FitSpec", "InitialGuess", "ProfileRow",
            "ProfileResult", "bic_star", "evidence_grade", "fit_mle", "init_guess",
@@ -102,11 +102,13 @@ class _Prepared:
     def __init__(self, mats: np.ndarray):
         T, lam, P = _spd_eigh(mats, "T")
         self.K, self.m = K, m = T.shape[:2]
-        # (K, m) view of an (m, K) array: the layout log_abs_gfactor works in
+        # (K, m) view of an (m, K) array: the layout log_gfactor_slope works in
         self.lam = np.ascontiguousarray(lam.T).T
         self.sum_log_lam = float(np.sum(np.log(lam)))
         self.min_lam = float(lam.min())
         self.beta_max = BETA_MARGIN * self.min_lam
+        self.x_max = math.log(self.beta_max)
+        self.x_min = self.x_max - math.log(BETA_RANGE)
         # M is held as theta, its upper triangle: E[k m + i] @ theta = p_ki' M p_ki
         # for the (K m, p) stack E, column-major: one column per entry of theta
         self.triu = rows, cols = np.triu_indices(m)
@@ -114,6 +116,10 @@ class _Prepared:
         outer = ev[rows] * ev[cols] * (1.0 + (rows != cols))[:, None, None]
         self.E = outer.reshape(len(rows), K * m).T
         self.sum_T, self.sum_inv = T.sum(axis=0), np.tensordot(ev / lam, ev, ([1, 2], [1, 2]))
+
+    def beta_at(self, x) -> float:
+        """e^x, and beta_max itself at x = x_max = ln beta_max, where both fits snap."""
+        return self.beta_max if x == self.x_max else math.exp(x)
 
     def trace(self, theta, beta):
         """u_k = tr(M A_k) per row of theta, for beta a float or of shape (rows, 1, 1)."""
@@ -143,8 +149,7 @@ def loglik(data, n: int, beta: float, xi, kernel: KernelSpec,
     """
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
-    mats = _as_stack(data, n)
-    prep = _Prepared(mats)
+    prep = _Prepared(_as_stack(data, n))
     xi, w, P = _spd_eigh(xi, "xi")
     if xi.shape[0] != prep.m:
         raise DomainError(f"xi is {xi.shape[0]}x{xi.shape[0]}, data has m={prep.m}")
@@ -317,11 +322,11 @@ def _newton_log_beta(profile, x: float, lo: float, hi: float, budget: int):
     bound the slope points past or after the step from a Newton decrement of
     INNER_TOL or less, which need only stay finite; fails at a point that is
     not finite or beyond budget evaluations after the first.  Returns the
-    last x, the evaluations and success."""
+    last x, the evaluations, success and the value at x."""
     (value, slope, curvature), evals = profile(x), 1
     while not ((x >= hi and slope > 0.0) or (x <= lo and slope < 0.0)):
         if evals > budget or not math.isfinite(value + slope + curvature):
-            return x, evals, False
+            return x, evals, False, value
         step = (slope / abs(curvature) if curvature
                 else math.copysign(math.inf, slope) if slope else 0.0)
         small = slope * step <= INNER_TOL
@@ -332,12 +337,12 @@ def _newton_log_beta(profile, x: float, lo: float, hi: float, budget: int):
             if point[0] > floor:
                 break
             if evals > budget:
-                return x, evals, False
+                return x, evals, False, value
             x_try = x + 0.5 * (x_try - x)
         x, (value, slope, curvature) = x_try, point
         if small:
             break
-    return x, evals, True
+    return x, evals, True, value
 
 
 def _gaussian_shape(prep: _Prepared, n: int, beta: float) -> np.ndarray:
@@ -352,9 +357,8 @@ def _gaussian_profile(prep: _Prepared, n: int, x: float):
     and its slope and curvature in x: with S' = dS/dx and S'' = S + (2/n) I,
     l' = G' - (K n / 2)(m + tr S^-1 S') and
     l'' = G'' - (K n / 2)(m + (2/n) tr S^-1 - tr(S^-1 S' S^-1 S')).
-    (-inf, nan, nan) where S is not positive definite.  At x = ln beta_max,
-    beta is beta_max itself, as the fit reports it."""
-    beta = prep.beta_max if x == math.log(prep.beta_max) else math.exp(x)
+    (-inf, nan, nan) where S is not positive definite."""
+    beta = prep.beta_at(x)
     half_kn, m = 0.5 * prep.K * n, prep.m
     w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
     if w[0] <= 0.0:
@@ -370,14 +374,13 @@ def _gaussian_profile(prep: _Prepared, n: int, x: float):
 def _fit_gaussian(prep: _Prepared, spec: FitSpec, n: int) -> FitResult:
     """Newton in ln beta on the closed-form profile from STEP0 below
     ln beta_max; iterations counts its evaluations, the start included."""
-    top, points = math.log(prep.beta_max), {}   # the profile at each x evaluated
-    x, evals, success = _newton_log_beta(
-        lambda x: points.setdefault(x, _gaussian_profile(prep, n, x)),
-        top - STEP0, top - math.log(BETA_RANGE), top, spec.max_iter)
-    beta = prep.beta_max if x == top else math.exp(x)
+    x, evals, success, value = _newton_log_beta(lambda x: _gaussian_profile(prep, n, x),
+                                                prep.x_max - STEP0, prep.x_min, prep.x_max,
+                                                spec.max_iter)
+    beta = prep.beta_at(x)
     w, P = np.linalg.eigh(_gaussian_shape(prep, n, beta))
     xi = sym_part((P * np.sqrt(np.maximum(w, 0.0))) @ P.T)
-    return _result(prep, spec, n, beta, xi, points[x][0], success, evals)
+    return _result(prep, spec, n, beta, xi, value, success, evals)
 
 
 class _KotzProfile:
@@ -425,38 +428,39 @@ class _KotzProfile:
         weights = np.stack([(lam - beta) ** 2, (beta - lam) * (beta + lam)]) / (lam * beta)
         return (beta, *sum(weights[..., i, None] * self.prep.E[i::m] for i in range(m)))
 
+    def log_scale(self, s, q, sum_u_s):
+        """ln c, c M the maximum on the ray of M: c^s = K a / (r sum_k u_k^s) for sum_u_s at M,
+        a = (q - q_floor) / s; in logs, as c^s overflows at small s."""
+        a = (q - self.q_floor) / s
+        return np.log(self.prep.K * a / (KOTZ_R * sum_u_s)) / s
+
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def start(self, s, x, theta):
-        """Per (kind, point, power) q, theta and the value on the ray c M0 through each point
-        (x, M0) of theta, c^s = K a / (r sum_k u_k^s): the ray's maximum, where r u^s is
-        Gamma(a, 1) (_gamma_shape), then q = 1.  -inf where c M0 over- or underflows."""
-        prep, K, m, beta = self.prep, self.prep.K, self.prep.m, np.exp(x)[:, None, None]
-        log_u = np.log(prep.trace(theta, beta))
-        sum_log_u = log_u.sum(axis=1)[:, None]
+        """Per (point, power) q, theta and the value (_value) at the maximum over (q, scale)
+        on the ray c M0 through each point (x, M0) of theta: there r u^s is Gamma(a, 1)
+        (_gamma_shape) and c is log_scale's.  -inf where c M0 over- or underflows."""
+        prep, K, beta = self.prep, self.prep.K, np.exp(x)[:, None, None]
+        u = prep.trace(theta, beta)
+        log_u = np.log(u)
         sum_u_s = np.exp(s[:, None] * log_u[:, None, :]).sum(axis=2)
-        a = _gamma_shape(np.log(sum_u_s / K) - s * sum_log_u / K, math.exp(LOG_Q_CAP) / s)
-        q = np.stack([np.minimum(self.q_floor + s * a, self.q_cap), np.ones_like(a)])
-        a = (q - self.q_floor) / s
-        log_c = np.log(K * a / (KOTZ_R * sum_u_s)) / s
-        log_det = np.log(np.linalg.eigvalsh(self.matrix(theta))).sum(axis=1)[:, None]
-        log_g = log_abs_gfactor((prep.lam / beta).reshape(-1, m), self.n, m)[0]
-        # at c, sum_k r u_k^s = K a
-        value = (K * (a * math.log(KOTZ_R) - _lgamma(a)) + self.half_kn * (m * log_c + log_det)
-                 + (q - 1.0) * (K * log_c + sum_log_u) - K * a
-                 + (log_g.reshape(-1, K).sum(axis=-1) - self.half_kn * m * x)[:, None])
-        theta = theta[:, None, :] * np.exp(log_c)[..., None]
-        feasible = np.isfinite(theta).all(axis=-1) & (np.exp(log_c) > 0.0) & np.isfinite(value)
-        return q, theta, np.where(feasible, value, -np.inf)
+        a = _gamma_shape(np.log(sum_u_s / K) - s * log_u.sum(axis=1)[:, None] / K,
+                         math.exp(LOG_Q_CAP) / s)
+        q = np.minimum(self.q_floor + s * a, self.q_cap)
+        c = np.exp(self.log_scale(s, q, sum_u_s))[..., None]
+        w = np.linalg.eigvalsh(self.matrix(theta))
+        log_g = log_gfactor_slope(prep.lam / beta, self.n, prep.m)[0]
+        value = self._value(s, x[:, None], q, u[:, None, :] * c, w[:, None, :] * c, log_g[:, None])
+        return q, theta[:, None, :] * c, value
 
     def _value(self, s, x, q, u, w, log_g):
-        """The log-likelihood per row up to a constant from u_k = tr(M A_k), the eigenvalues
-        w of M and log|G|; -inf unless M is positive definite and q > q_floor."""
+        """The log-likelihood up to a constant from u_k = tr(M A_k) and the eigenvalues w of M,
+        each on the last axis, and log|G|; -inf unless M is SPD and q > q_floor."""
         a = (q - self.q_floor) / s
-        feasible = (w[:, 0] > 0.0) & (a > 0.0)
+        feasible = (w[..., 0] > 0.0) & (a > 0.0)
         log_u = np.log(u)
         value = (self.prep.K * (a * math.log(KOTZ_R) - _lgamma(a))
-                 + self.half_kn * np.log(w).sum(axis=1) + (q - 1.0) * log_u.sum(axis=1)
-                 - KOTZ_R * np.exp(s[:, None] * log_u).sum(axis=1)
+                 + self.half_kn * np.log(w).sum(axis=-1) + (q - 1.0) * log_u.sum(axis=-1)
+                 - KOTZ_R * np.exp(s[..., None] * log_u).sum(axis=-1)
                  - self.half_kn * self.prep.m * x + log_g)
         return np.where(feasible & np.isfinite(value), value, -np.inf)
 
@@ -469,10 +473,6 @@ class _KotzProfile:
         w, P = np.linalg.eigh(self.matrix(theta))
         gfactor = log_gfactor_slope(self.prep.lam / beta, self.n, self.prep.m)
         return [A, dA, u, du, w, P, *gfactor], self._value(s, x, q, u, w, gfactor[0])
-
-    def value(self, s, x, theta, q):
-        """The log-likelihood per row up to a constant (_value)."""
-        return self.point(s, x, theta, q)[1]
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def newton(self, s, x, theta, q, x_lo, x_hi, budget):
@@ -497,8 +497,8 @@ class _KotzProfile:
             s_l, x_l, q_l, lo, hi = s[live], x[live], q[live], x_lo[live], x_hi[live]
             A, dA, u, du, w, P, log_g, g_slope, g_curv = cache
             a = (q_l - self.q_floor) / s_l
-            # M -> c M to its maximum on its ray, c^s = K a / (r sum_k u_k^s)
-            c = (K * a / (r * np.exp(s_l[:, None] * np.log(u)).sum(axis=1))) ** (1.0 / s_l)
+            # M -> c M to its maximum on its ray
+            c = np.exp(self.log_scale(s_l, q_l, np.exp(s_l[:, None] * np.log(u)).sum(axis=1)))
             th, u, du, w = (v * c[:, None] for v in (theta[live], u, du, w))
             value_l = self._value(s_l, x_l, q_l, u, w, log_g)
             d2u = u + 2.0 * (th * self.eye).sum(axis=1)[:, None]   # d^2 A / dx^2 = A + 2 I
@@ -590,22 +590,20 @@ def _gamma_shape(g, cap):
 def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess,
               gauss: FitResult) -> list[FitResult]:
     """One Kotz fit per spec, all in one batched Newton solve over [beta_max /
-    BETA_RANGE, beta_max].  Each power starts from the best of four points on the
-    rays through the Gaussian optimum and the moment guess: each ray's maximum over
-    (q, scale) in closed form, and its radial maximum at q = 1 (_KotzProfile.start);
-    iterations counts its Newton steps.  A power whose fit has no finite
-    log-likelihood, as from a start without one, raises DomainError."""
-    profile, R = _KotzProfile(prep, n), len(specs)
-    top = math.log(prep.beta_max)
-    bottom = top - math.log(BETA_RANGE)
+    BETA_RANGE, beta_max].  Each power starts from the better of the maxima over
+    (q, scale) on the rays through the Gaussian optimum and the moment guess
+    (_KotzProfile.start); iterations counts its Newton steps.  A power whose fit
+    has no finite log-likelihood, as where the scale of both rays over- or
+    underflows, raises DomainError."""
+    profile, R, bottom, top = _KotzProfile(prep, n), len(specs), prep.x_min, prep.x_max
     starts = [(gauss.beta, gauss.xi), (min(guess.beta0, 0.9 * prep.beta_max), guess.xi0)]
     s = np.array([spec.s for spec in specs])
     x = np.log([beta for beta, _ in starts])
     q, theta, value = profile.start(s, x, np.array([profile.theta_of(xi) for _, xi in starts]))
-    best = np.unravel_index(value.reshape(2 * len(starts), R).argmax(axis=0), value.shape[:2])
+    best, rows = value.argmax(axis=0), np.arange(R)
     x, theta, q, steps, converged, slope, value = profile.newton(
-        s, x[best[1]], theta[(*best, np.arange(R))], q[(*best, np.arange(R))], np.full(R, bottom),
-        np.full(R, top), np.array([spec.max_iter for spec in specs]))
+        s, x[best], theta[best, rows], q[best, rows], np.full(R, bottom), np.full(R, top),
+        np.array([spec.max_iter for spec in specs]))
     # none is a maximum: at the cap on q the likelihood still rose, at the
     # bottom it is flat, for m = 1 and q < (3 - n)/2 it is unbounded at the top
     converged &= (q < profile.q_cap) & ~((x <= bottom) & (slope < 0.0))
@@ -615,8 +613,8 @@ def _fit_kotz(prep: _Prepared, specs: list[FitSpec], n: int, guess: InitialGuess
         xis = sym_part((P / np.sqrt(w)[:, None, :]) @ np.swapaxes(P, 1, 2))
     fits = []
     for spec, x_r, xi, value_r, q_r, ok, k in zip(specs, x, xis, value, q, converged, steps):
-        beta = prep.beta_max if x_r == top else math.exp(x_r)
-        fits.append(_result(prep, spec, n, beta, xi, float(value_r), bool(ok), int(k), float(q_r)))
+        fits.append(_result(prep, spec, n, prep.beta_at(x_r), xi, float(value_r), bool(ok), int(k),
+                            float(q_r)))
         if not math.isfinite(fits[-1].loglik_max):
             raise DomainError(f"Kotz power s={spec.s:g}: no finite likelihood from its start")
     return fits
@@ -626,14 +624,12 @@ def fit_mle(data, spec: FitSpec, n: int) -> FitResult:
     """Maximise the log-likelihood of one family: for the Gaussian a Newton
     solve in ln beta on the profile with the shape in closed form, for the
     Kotz with r pinned at 1/2 one Newton solve over (ln beta, M, q),
-    M = Xi^{-2}.  Deterministic; max_iter caps the Gaussian's profile
-    evaluations after its start and the Kotz Newton steps, and a fit that
-    exhausts it is returned flagged, not raised."""
-    mats, prep = _prepare_fit(data, n)
-    gauss = _fit_gaussian(prep, replace(spec, family=GAUSSIAN), n)
+    M = Xi^{-2}, as the one row of profile_s_grid.  Deterministic; max_iter
+    caps the Gaussian's profile evaluations after its start and the Kotz
+    Newton steps, and a fit that exhausts it is returned flagged, not raised."""
     if spec.family == KOTZ:
-        return _fit_kotz(prep, [spec], n, init_guess(mats, n), gauss)[0]
-    return gauss
+        return profile_s_grid(data, (spec.s,), n, spec=spec).rows[0].fit
+    return _fit_gaussian(_prepare_fit(data, n)[1], spec, n)
 
 
 @dataclass
@@ -675,9 +671,8 @@ def profile_s_grid(data, s_values=DEFAULT_S_GRID, n: int = 6, *,
     base = spec if spec is not None else FitSpec()
     # FitSpec raises for a power that is not positive and finite
     specs = [replace(base, family=KOTZ, s=float(s)) for s in s_values]
-    guess = init_guess(mats, n)
     gauss = _fit_gaussian(prep, replace(base, family=GAUSSIAN), n)
-    fits = _fit_kotz(prep, specs, n, guess, gauss)
+    fits = _fit_kotz(prep, specs, n, init_guess(mats, n), gauss)
     return ProfileResult(baseline=gauss, rows=[
         ProfileRow(s=fit.s, fit=fit, bic_diff=diff, grade=evidence_grade(abs(diff)))
         for fit, diff in ((fit, fit.bic_star - gauss.bic_star) for fit in fits)])

@@ -116,7 +116,7 @@ def _check_round_trips(rng, trials=25):
         worst_right = max(worst_right, np.abs(forward_map(V, params) - Z).max())
         V2 = inverse_map_branch(forward_map(V, params), params)
         worst_left = max(worst_left, np.abs(V2 - V).max())
-    ok = worst_right < 1e-10 and worst_left < 1e-10
+    ok = bool(worst_right < 1e-10 and worst_left < 1e-10)
     return CheckResult("transform-round-trips", ok,
                        f"max right-inverse error {worst_right:.2e},"
                        f" left-inverse error {worst_left:.2e}")
@@ -129,7 +129,7 @@ def _check_branch_normalization():
         t = (1.5 + _RHO)[:, None, None]
         density = logpdf_T(t, params, gaussian_kernel(n, 1), Convention.BRANCH_NORMALIZED)
         worst = max(worst, abs(_RHO_WEIGHTS @ np.exp(density) - 1.0))
-    return CheckResult("branch-normalization", worst < 1e-6,
+    return CheckResult("branch-normalization", bool(worst < 1e-6),
                        f"max |mass - 1| = {worst:.2e} for scalar data, n in (1,2,3)")
 
 
@@ -151,7 +151,7 @@ def _check_transform_identities(rng, trials=20):
         a = logpdf_T_congruence(Y, C, params, kernel, Convention.AS_PUBLISHED)
         b = logpdf_T(T, params, kernel, Convention.AS_PUBLISHED) - (m + 1) * logdet_C
         worst = max(worst, abs(a - b))
-    return CheckResult("transformation-identities", worst < 1e-10,
+    return CheckResult("transformation-identities", bool(worst < 1e-10),
                        f"max |formula - change of variables| = {worst:.2e}")
 
 

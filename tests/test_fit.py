@@ -178,8 +178,8 @@ class TestExactTrace:
             xi = rand_spd(m, rng)
             q = float(rng.uniform(0.6, 3.0))
             s = float(rng.uniform(0.5, 3.0))
-            value = profile.value(np.array([s]), np.array([x]),
-                                  profile.theta_of(xi)[None], np.array([q]))[0]
+            value = profile.point(np.array([s]), np.array([x]),
+                                  profile.theta_of(xi)[None], np.array([q]))[1][0]
             full = loglik(batch, n, math.exp(x), xi, kotz_kernel(q, KOTZ_R, s, n, m))
             diffs.append(value - (full - prep.K * math.log(s)))
         assert np.ptp(diffs) <= 1e-9 * max(1.0, abs(diffs[0]))
@@ -565,7 +565,7 @@ class TestKotzProfile:
 
         profile = fit_module._KotzProfile(fit_module._Prepared([[[2.0]], [[3.0]], [[5.0]]]), 1)
         q = np.nextafter(profile.q_floor, np.inf)
-        value = profile.value(np.array([1.5]), np.array([0.0]), np.array([[1.0]]), np.array([q]))
+        value = profile.point(np.array([1.5]), np.array([0.0]), np.array([[1.0]]), np.array([q]))[1]
         assert value[0] == -np.inf or np.isfinite(value[0])
 
     def test_small_power_not_below_reachable_maximum(self):
@@ -674,7 +674,7 @@ class TestLogBetaSearch:
             t = math.tanh(x - root)
             return -math.log(math.cosh(x - root)), -t, -(1.0 - t * t)
 
-        x, evals, success = fit_module._newton_log_beta(profile, -0.1, -math.log(1e6), 0.0, 100)
+        x, evals, success, _ = fit_module._newton_log_beta(profile, -0.1, -math.log(1e6), 0.0, 100)
         assert success and evals <= 31
         assert x == pytest.approx({0: root, 1: 0.0, -1: -math.log(1e6)}[end], abs=1e-10)
 
@@ -686,7 +686,7 @@ class TestLogBetaSearch:
         betas = beta * np.exp([-h, 0.0, h])
         profile, theta, q, converged, slope = _solve_at_betas(T, n, s, betas)
         assert converged.all()
-        lower, _, upper = profile.value(np.full(3, s), np.log(betas), theta, q)
+        lower, _, upper = profile.point(np.full(3, s), np.log(betas), theta, q)[1]
         assert slope[1] == pytest.approx((upper - lower) / (2 * h), rel=1e-5)
 
     @pytest.mark.parametrize("spec", [FitSpec(family="gaussian"), FitSpec(family="kotz", s=1.5),
@@ -938,33 +938,46 @@ class TestProfileGrid:
 
 
 class TestProfiledStart:
-    """Each power starts at its ray's maximum over (q, scale) in closed form."""
+    """Each power starts at the better of two rays' maxima over (q, scale)."""
 
     @pytest.mark.parametrize("batch,n", [
         pytest.param(read_batch(DATA / "paper_k20_round1_popB.csv"), 6, id="popB"),
         pytest.param(_bulk_batch(), 8, id="kotz m=3 K=2000")])
-    def test_start_is_ray_maximum(self, batch, n):
-        # the closed-form value is the solver's value there, its derivatives
-        # in q and ln c vanish, and it is never below the q = 1 start
+    def test_start_is_ray_maximum(self, batch, n, monkeypatch):
+        # the solve starts each power on the ray, through the Gaussian optimum
+        # or the moment guess, whose maximum the solver's own value puts higher,
+        # and there its derivatives in ln q and ln c vanish
         from matrixbs import fit as fit_module
 
-        prep = fit_module._Prepared(batch.matrices)
-        profile = fit_module._KotzProfile(prep, n)
-        gauss = fit_mle(batch, FitSpec(), n)
+        calls = {}
+
+        def recorded(name):
+            method = getattr(fit_module._KotzProfile, name)
+
+            def wrapper(self, *args):
+                calls[name] = self, args, method(self, *args)
+                return calls[name][2]
+            return wrapper
+
+        for name in ("start", "newton"):
+            monkeypatch.setattr(fit_module._KotzProfile, name, recorded(name))
         s = np.array(DEFAULT_S_GRID)
-        q, theta, value = profile.start(s, np.log([gauss.beta]),
-                                        profile.theta_of(gauss.xi)[None])
-        x = np.full(len(s), math.log(gauss.beta))
-        assert np.isfinite(value).all()
-        assert (value[0] >= value[1] - 1e-12 * np.abs(value[1])).all()
-        for kind in (0, 1):
-            direct = profile.value(s, x, theta[kind, 0], q[kind, 0])
-            assert direct == pytest.approx(value[kind, 0], rel=1e-12, abs=0.0)
+        profile_s_grid(batch, s, n)
+        profile, (_, x, _), (q, theta, value) = calls["start"]
+        _, (_, x0, theta0, q0, *_), _ = calls["newton"]
+        assert value.shape == (2, len(s)) and np.isfinite(value).all()
+        for k in (0, 1):
+            direct = profile.point(s, np.full(len(s), x[k]), theta[k], q[k])[1]
+            assert direct == pytest.approx(value[k], rel=1e-12, abs=0.0)
+        best, rows = value.argmax(axis=0), np.arange(len(s))
+        assert np.array_equal(x0, x[best])
+        assert np.array_equal(theta0, theta[best, rows]) and np.array_equal(q0, q[best, rows])
         h = 1e-5
         for dq, dc in ((h, 0.0), (0.0, h)):   # steps in ln q and ln c
-            up, down = (profile.value(s, x, theta[0, 0] * math.exp(sign * dc),
-                                      q[0, 0] * math.exp(sign * dq)) for sign in (1, -1))
-            assert (np.abs(up - down) / (2 * h) <= 1e-8 * np.abs(value[0, 0])).all(), (dq, dc)
+            up, down = (profile.point(s, x0, theta0 * math.exp(sign * dc),
+                                      q0 * math.exp(sign * dq))[1] for sign in (1, -1))
+            assert (np.abs(up - down) / (2 * h)
+                    <= 1e-8 * np.abs(value[best, rows])).all(), (dq, dc)
 
     def test_gamma_shape_solves_its_equation(self):
         mpmath = pytest.importorskip("mpmath")
@@ -1003,7 +1016,8 @@ class TestProfiledStart:
 
     def test_start_traces_once_and_steps_evaluate_once(self, monkeypatch):
         # one trace per start point whatever the number of powers, and one
-        # log|G| slope per trial evaluation: nothing is evaluated twice
+        # log|G| slope for the start and per trial evaluation: nothing is
+        # evaluated twice
         from matrixbs import fit as fit_module
 
         batch = read_batch(DATA / "paper_k20_round1_popB.csv")
@@ -1026,8 +1040,20 @@ class TestProfiledStart:
             rows = profile_s_grid(batch, grid, 6).rows
             monkeypatch.setattr(fit_module, "log_gfactor_slope", slope)
             assert counts["trace"] == 2
-            assert counts["slope"] - gauss_evals == counts["point"]
+            assert counts["slope"] - gauss_evals == counts["point"] + 1
             assert counts["point"] >= 1 + max(row.fit.iterations for row in rows)
+
+    @pytest.mark.parametrize("s,q,maximum", [(0.017, 1099.3584562907947, -365.72575465346563),
+                                             (0.02, 1291.9061325628402, -359.79633703557045)])
+    def test_small_power_above_overflow_band(self, s, q, maximum):
+        # just above the powers where c M0 overflows on both rays the start is
+        # finite (at s = 0.017 only on the moment guess's ray); its first
+        # Newton step is not, so the fit stops there, unconverged
+        res = fit_mle(read_batch(DATA / "paper_k20_round1_popB.csv"),
+                      FitSpec(family="kotz", s=s), 6)
+        assert (res.iterations, res.converged) == (1, False)
+        assert res.q == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert res.loglik_max == pytest.approx(maximum, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("s,most,maximum", [(0.05, 120, -358.7299502247006),
                                                 (0.1, 30, -358.71570518855515),

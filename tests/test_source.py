@@ -3,9 +3,10 @@ is used, every private module-level name is referenced somewhere in the
 package, every module-level constant is read or exported, every error type
 is used outside errors.py, NotSpdError is raised only in linalg.py (the
 one positive-definiteness rule), density.py and transform.py factor only
-in transform._branch_factors (one spectrum per matrix), no module imports
-scipy (numpy is the one runtime dependency), and every flag a CLI
-subcommand defines is read for that subcommand."""
+in transform._branch_factors (one spectrum per matrix), fit.py evaluates
+the Kotz likelihood only in _KotzProfile._value, no module imports scipy
+(numpy is the one runtime dependency), and every flag a CLI subcommand
+defines is read for that subcommand."""
 
 import argparse
 import ast
@@ -128,6 +129,23 @@ def test_eigen_factorisations_only_in_branch_factors():
     assert allowed
     assert [f"{module}:{node.lineno} {node.func.attr}" for module in ("density.py", "transform.py")
             for node in factorisations(TREES[module]) if id(node) not in allowed] == []
+
+
+def test_one_kotz_likelihood():
+    # the Kotz log-likelihood is written once, in _KotzProfile._value: a call
+    # of _lgamma elsewhere in fit.py, or a use of the per-matrix log|G|, would
+    # be a second copy of it
+    tree = TREES["fit.py"]
+    assert "log_abs_gfactor" not in _named(tree)
+    profile = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_KotzProfile")
+    home = next(node for node in profile.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_value")
+    inside = set(map(id, ast.walk(home)))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_lgamma"]
+    assert calls
+    assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
